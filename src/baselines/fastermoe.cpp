@@ -390,25 +390,7 @@ sim::OpGraph FasterMoELayer::build_backward(
     std::function<void()> fn;
     if (ctx.functional()) {
       auto* c = &ctx;
-      fn = [c, d] {
-        auto& st = c->dev[static_cast<std::size_t>(d)];
-        const auto& routing = c->plan.part(0).src[static_cast<std::size_t>(d)];
-        Tensor& ys = core::d_ys_buffer(*c, d, 0);
-        for (std::size_t i = 0; i < routing.order.size(); ++i) {
-          const std::int64_t t = routing.order[i];
-          const float gate = st.gating.gate[static_cast<std::size_t>(t)];
-          double dot = 0.0;
-          for (std::int64_t col = 0; col < c->d_model; ++col) {
-            dot += static_cast<double>(st.dy.at(t, col)) * st.out.at(t, col);
-          }
-          st.dgate[static_cast<std::size_t>(t)] =
-              static_cast<float>(dot / gate);
-          for (std::int64_t col = 0; col < c->d_model; ++col) {
-            ys.at(static_cast<std::int64_t>(i), col) =
-                gate * st.dy.at(t, col);
-          }
-        }
-      };
+      fn = [c, d] { core::scale_output_grads(*c, d, 0); };
     }
     const int id =
         g.add(tag("bscale", d), OpCategory::kElementwise,
@@ -633,7 +615,7 @@ std::vector<Tensor> FasterMoELayer::forward(
                 "forward() requires full execution mode");
   MPIPE_EXPECTS(static_cast<int>(inputs.size()) == num_devices(),
                 "need one input batch per device");
-  for (auto& a : allocators_) a.tracker().reset_peaks();
+  for (auto& a : allocators_) a.begin_step();
 
   ctx_.emplace();
   ctx_->mode = core::ExecutionMode::kFull;
@@ -702,7 +684,7 @@ std::vector<Tensor> FasterMoELayer::backward(
 core::StepReport FasterMoELayer::step_timing(std::int64_t tokens_per_device,
                                              double skew) {
   MPIPE_EXPECTS(tokens_per_device > 0, "empty batch");
-  for (auto& a : allocators_) a.tracker().reset_peaks();
+  for (auto& a : allocators_) a.begin_step();
 
   core::MoeStepContext ctx;
   ctx.mode = core::ExecutionMode::kTimingOnly;

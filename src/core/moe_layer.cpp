@@ -441,7 +441,7 @@ std::vector<Tensor> MoELayer::forward(const std::vector<Tensor>& inputs) {
                       t.dim(1) == options_.d_model,
                   "inputs must all be (B, d_model)");
   }
-  for (auto& a : allocators_) a.tracker().reset_peaks();
+  for (auto& a : allocators_) a.begin_step();
   staging_.clear();
 
   const int n = configure_partitions(B);
@@ -528,7 +528,7 @@ std::vector<Tensor> MoELayer::forward_only(const std::vector<Tensor>& inputs,
                       t.dim(1) == options_.d_model,
                   "inputs must all be (B, d_model)");
   }
-  for (auto& a : allocators_) a.tracker().reset_peaks();
+  for (auto& a : allocators_) a.begin_step();
   staging_.clear();
 
   const int n = n_override > 0 ? n_override : configure_partitions(B);
@@ -683,7 +683,7 @@ std::vector<Tensor> MoELayer::backward(
 StepReport MoELayer::step_timing(std::int64_t tokens_per_device,
                                  double skew) {
   MPIPE_EXPECTS(tokens_per_device > 0, "empty batch");
-  for (auto& a : allocators_) a.tracker().reset_peaks();
+  for (auto& a : allocators_) a.begin_step();
 
   // The online search measures real steps, which see the same routing
   // skew as the step being configured.

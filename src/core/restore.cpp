@@ -88,6 +88,44 @@ Tensor& d_tdi_buffer(MoeStepContext& ctx, int device, int p) {
   return pick(ctx, st.d_tdi, st.d_tdi_parts, p);
 }
 
+void scale_output_grads(MoeStepContext& ctx, int device, int p) {
+  auto& st = ctx.dev[static_cast<std::size_t>(device)];
+  const auto& order =
+      ctx.plan.part(p).src[static_cast<std::size_t>(device)].order;
+  Tensor& ys = d_ys_buffer(ctx, device, p);
+  const std::int64_t M = ctx.d_model;
+  MPIPE_EXPECTS(st.out.shape().rank() == 2 && st.out.dim(1) == M &&
+                    st.dy.shape() == st.out.shape(),
+                "dY and T_O must both be (B, d_model)");
+  const std::int64_t B = st.out.dim(0);
+  const auto rows = static_cast<std::int64_t>(order.size());
+  MPIPE_EXPECTS(ys.shape().rank() == 2 && ys.dim(1) == M &&
+                    ys.dim(0) >= rows,
+                "d_ys buffer too small for the partition");
+  MPIPE_EXPECTS(static_cast<std::int64_t>(st.gating.gate.size()) == B &&
+                    static_cast<std::int64_t>(st.dgate.size()) == B,
+                "gate vectors must cover the batch");
+  const float* dy = st.dy.data();
+  const float* out = st.out.data();
+  float* ys_rows = ys.data();
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const std::int64_t t = order[static_cast<std::size_t>(i)];
+    MPIPE_EXPECTS(t >= 0 && t < B, "routed token out of range");
+    const float gate = st.gating.gate[static_cast<std::size_t>(t)];
+    const float* dy_row = dy + t * M;
+    const float* out_row = out + t * M;
+    double dot = 0.0;
+    for (std::int64_t col = 0; col < M; ++col) {
+      dot += static_cast<double>(dy_row[col]) * out_row[col];
+    }
+    st.dgate[static_cast<std::size_t>(t)] = static_cast<float>(dot / gate);
+    float* ys_row = ys_rows + i * M;
+    for (std::int64_t col = 0; col < M; ++col) {
+      ys_row[col] = gate * dy_row[col];
+    }
+  }
+}
+
 std::vector<comm::RowSegment> dispatch_segments(MoeStepContext& ctx, int p) {
   MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
   const auto& part = ctx.plan.part(p);

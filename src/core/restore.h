@@ -43,6 +43,14 @@ Tensor& d_ys_buffer(MoeStepContext& ctx, int device, int p);
 Tensor& d_tdo_buffer(MoeStepContext& ctx, int device, int p);
 Tensor& d_tdi_buffer(MoeStepContext& ctx, int device, int p);
 
+// ---- gate-scale backward ---------------------------------------------------
+
+/// Backward of the gate scaling for device `device`, partition p: for each
+/// routed token t (in routing order i) writes dgate[t] = <dY_t, T_O_t> /
+/// gate_t (fp64 dot) and d_ys row i = gate_t * dY_t. Shared by the
+/// pipeline builder and FasterMoE so both stay bitwise identical.
+void scale_output_grads(MoeStepContext& ctx, int device, int p);
+
 // ---- segment builders -------------------------------------------------------
 
 /// Dispatch (S): token rows of every device's T_I chunk → the destination

@@ -1,7 +1,9 @@
 #include "mem/device_allocator.h"
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/asan.h"
 #include "common/check.h"
 #include "common/units.h"
 
@@ -90,9 +92,40 @@ TrackedTensor DeviceAllocator::alloc_tensor(Shape shape, Category category,
   TrackedTensor out;
   out.allocation = allocate(category, bytes);
   if (materialize) {
-    out.tensor = Tensor(shape);
+    out.tensor = workspace_tensor(shape);
   }
   return out;
+}
+
+void DeviceAllocator::begin_step() {
+  tracker_.reset_peaks();
+  workspace_cursor_ = 0;
+  // Idle storage is not freed between steps, so under ASan it is poisoned
+  // instead: a stale pointer into last step's buffer still faults.
+  for (auto& slot : workspace_) {
+    if (slot.use_count() == 1) {
+      ASAN_POISON_MEMORY_REGION(slot->data(), slot->size() * sizeof(float));
+    }
+  }
+}
+
+Tensor DeviceAllocator::workspace_tensor(const Shape& shape) {
+  const auto n = static_cast<std::size_t>(shape.numel());
+  if (workspace_cursor_ == workspace_.size()) workspace_.emplace_back();
+  auto& slot = workspace_[workspace_cursor_++];
+  if (slot.use_count() == 1 && slot->size() >= n && slot->size() <= 2 * n) {
+    ASAN_UNPOISON_MEMORY_REGION(slot->data(), n * sizeof(float));
+    std::fill_n(slot->data(), n, 0.0f);
+    return Tensor(shape, slot);
+  }
+  std::size_t capacity = n;
+  if (slot != nullptr) {
+    capacity = std::min(std::max(n, slot->size()), 2 * n);
+    ASAN_UNPOISON_MEMORY_REGION(slot->data(), slot->size() * sizeof(float));
+    slot.reset();  // release before allocating: no transient double
+  }
+  slot = std::make_shared<std::vector<float>>(capacity, 0.0f);
+  return Tensor(shape, slot);
 }
 
 void DeviceAllocator::on_release(Category category, std::uint64_t bytes) {

@@ -4,10 +4,17 @@
 /// handles: real storage lives in mpipe::Tensor (host memory standing in
 /// for HBM); the allocator tracks *what the GPU would hold* so peak
 /// footprints reproduce the paper's Figures 2, 9, 10.
+///
+/// Physical storage is a cross-step workspace: the k-th materialized
+/// alloc_tensor of a step reuses the storage the k-th one used in the
+/// previous step, the way a device framework keeps its step buffers
+/// allocated. Accounting never sees the workspace — an Allocation's bytes
+/// and category are the same as with fresh storage.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "mem/memory_tracker.h"
@@ -70,9 +77,23 @@ class DeviceAllocator {
 
   Allocation allocate(Category category, std::uint64_t bytes);
 
+  /// Starts a step: resets the tracker's peaks and rewinds the workspace
+  /// cursor. MoELayer and FasterMoE call it once per step, before the
+  /// step's first allocation. An allocator that never begins a step
+  /// never rewinds, so each of its tensors keeps a slot of its own.
+  void begin_step();
+
   /// Allocates a zeroed tensor with accounting. With materialize = false
   /// only the accounting happens (timing-only runs at paper scale must not
   /// touch real storage); the tensor member stays undefined.
+  ///
+  /// A materialized tensor takes the next workspace slot. The slot's
+  /// storage is reused (zeroed) when nobody else holds it and its capacity
+  /// is within [n, 2n] floats for n = shape.numel(); otherwise the slot
+  /// lets go of it and gets fresh storage of max(n, old capacity) capped
+  /// at 2n, so jittered batch sizes settle within a few steps. A tensor
+  /// the caller still holds from an earlier step is therefore never
+  /// recycled.
   ///
   /// `account_dtype` sets the accounted footprint of a rank-2 shape to its
   /// wire/storage format (quantized_bytes) while the materialized tensor
@@ -82,6 +103,10 @@ class DeviceAllocator {
   TrackedTensor alloc_tensor(Shape shape, Category category,
                              bool materialize = true,
                              DType account_dtype = DType::kF32);
+
+  /// Number of workspace slots: the most materialized tensors any one
+  /// step has allocated.
+  std::size_t workspace_slots() const { return workspace_.size(); }
 
   MemoryTracker& tracker() { return tracker_; }
   const MemoryTracker& tracker() const { return tracker_; }
@@ -98,6 +123,8 @@ class DeviceAllocator {
  private:
   friend class Allocation;
   void on_release(Category category, std::uint64_t bytes);
+  /// Zeroed storage for `shape` from the next workspace slot.
+  Tensor workspace_tensor(const Shape& shape);
 
   int device_id_;
   std::uint64_t capacity_;
@@ -106,6 +133,10 @@ class DeviceAllocator {
   // Allocation sequence id feeding the injector's hash; allocations happen
   // on the (single) graph-build thread, so a plain counter suffices.
   std::uint64_t alloc_seq_ = 0;
+  // Cross-step storage, one slot per materialized allocation of a step;
+  // same single-thread rule as alloc_seq_.
+  std::vector<std::shared_ptr<std::vector<float>>> workspace_;
+  std::size_t workspace_cursor_ = 0;
 };
 
 /// Thrown when an allocation would exceed the device capacity.

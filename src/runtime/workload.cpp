@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "tensor/random_init.h"
 
 namespace mpipe::runtime {
@@ -26,11 +27,22 @@ std::vector<Tensor> WorkloadGenerator::next_batch() {
         1, static_cast<std::int64_t>(rng_.uniform(lo, hi)));
   }
   last_tokens_ = tokens;
-  std::vector<Tensor> batch;
-  batch.reserve(static_cast<std::size_t>(options_.num_devices));
-  for (int d = 0; d < options_.num_devices; ++d) {
-    batch.push_back(random_tokens(tokens, options_.d_model, rng_));
-  }
+  // One child stream per device, forked in device order on this thread, so
+  // the batch depends only on rng_ and never on how the fills land on the
+  // pool's workers.
+  const auto devices = static_cast<std::size_t>(options_.num_devices);
+  std::vector<Rng> streams;
+  streams.reserve(devices);
+  for (std::size_t d = 0; d < devices; ++d) streams.push_back(rng_.fork());
+  std::vector<Tensor> batch(devices);
+  ThreadPool::shared().parallel_for(
+      devices,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t d = begin; d < end; ++d) {
+          batch[d] = random_tokens(tokens, options_.d_model, streams[d]);
+        }
+      },
+      1);
   return batch;
 }
 

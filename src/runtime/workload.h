@@ -27,7 +27,9 @@ class WorkloadGenerator {
  public:
   explicit WorkloadGenerator(WorkloadOptions options);
 
-  /// One batch per device, all (B, d_model) with this step's B.
+  /// One batch per device, all (B, d_model) with this step's B. Each
+  /// device's batch comes from its own child of rng() and is filled on the
+  /// shared pool; the result is the same for any pool size.
   std::vector<Tensor> next_batch();
 
   /// Matching regression targets (for a synthetic MSE objective).

@@ -281,11 +281,19 @@ std::vector<std::int64_t> argmax_rows(const Tensor& x) {
 
 void scale_rows_(Tensor& x, const std::vector<float>& s) {
   MPIPE_EXPECTS(x.shape().rank() == 2, "scale_rows_ expects a matrix");
+  scale_rows_(x, s, 0, x.dim(0));
+}
+
+void scale_rows_(Tensor& x, const std::vector<float>& s,
+                 std::int64_t row_begin, std::int64_t rows) {
+  MPIPE_EXPECTS(x.shape().rank() == 2, "scale_rows_ expects a matrix");
   MPIPE_EXPECTS(static_cast<std::int64_t>(s.size()) == x.dim(0),
                 "scale vector length mismatch");
+  MPIPE_EXPECTS(row_begin >= 0 && rows >= 0 && row_begin + rows <= x.dim(0),
+                "row range out of bounds");
   float* px = x.data();
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  for (std::int64_t r = 0; r < rows; ++r) {
+  const std::int64_t cols = x.dim(1);
+  for (std::int64_t r = row_begin; r < row_begin + rows; ++r) {
     const float f = s[static_cast<std::size_t>(r)];
     float* row = px + r * cols;
     for (std::int64_t c = 0; c < cols; ++c) row[c] *= f;

@@ -61,6 +61,9 @@ std::vector<std::int64_t> argmax_rows(const Tensor& x);
 
 /// Scales row r of x by s[r], in place.
 void scale_rows_(Tensor& x, const std::vector<float>& s);
+/// Same, for rows [row_begin, row_begin + rows) only; s covers all of x.
+void scale_rows_(Tensor& x, const std::vector<float>& s,
+                 std::int64_t row_begin, std::int64_t rows);
 
 /// Mean squared error loss and its gradient w.r.t. pred.
 double mse_loss(const Tensor& pred, const Tensor& target);

@@ -1,6 +1,7 @@
 #include "tensor/random_init.h"
 
 #include <cmath>
+#include <random>
 
 #include "common/check.h"
 
@@ -32,7 +33,15 @@ void init_uniform(Tensor& t, Rng& rng, float lo, float hi) {
 
 Tensor random_tokens(std::int64_t tokens, std::int64_t d_model, Rng& rng) {
   Tensor t(Shape{tokens, d_model});
-  init_normal(t, rng, 1.0f);
+  // One distribution for the whole fill: std::normal_distribution draws
+  // values in pairs, and a fresh distribution per value (Rng::normal) would
+  // discard the second value of every pair.
+  std::normal_distribution<double> normal(0.0, 1.0);
+  float* p = t.data();
+  const std::int64_t n = t.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = static_cast<float>(normal(rng.engine()));
+  }
   return t;
 }
 

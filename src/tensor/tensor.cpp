@@ -18,6 +18,14 @@ Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(shape) {
   storage_ = std::make_shared<std::vector<float>>(std::move(data));
 }
 
+Tensor::Tensor(Shape shape, std::shared_ptr<std::vector<float>> storage)
+    : shape_(shape), storage_(std::move(storage)) {
+  MPIPE_EXPECTS(storage_ != nullptr &&
+                    static_cast<std::int64_t>(storage_->size()) >=
+                        shape_.numel(),
+                "storage smaller than shape");
+}
+
 Tensor Tensor::full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);

@@ -22,6 +22,11 @@ class Tensor {
   /// Wraps existing data (copied in).
   Tensor(Shape shape, std::vector<float> data);
 
+  /// Views the first shape.numel() floats of shared `storage`, which may
+  /// be larger (no copy, no zeroing). The tensor holds a reference, so
+  /// storage.use_count() tells its owner whether a view is still alive.
+  Tensor(Shape shape, std::shared_ptr<std::vector<float>> storage);
+
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value);
 

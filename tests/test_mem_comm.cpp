@@ -1,17 +1,22 @@
-// Memory subsystem (tracker, allocator RAII, OOM, ring pools, staging) and
-// the functional collectives (byte-exact movement, reductions).
+// Memory subsystem (tracker, allocator RAII, OOM, cross-step workspace, ring
+// pools, staging) and the functional collectives (byte-exact movement,
+// reductions).
 
 #include <gtest/gtest.h>
 
+#include "common/asan.h"
 #include "common/check.h"
 
+#include "baselines/fastermoe.h"
 #include "comm/all_to_all.h"
 #include "comm/collectives.h"
 #include "comm/p2p.h"
 #include "common/units.h"
+#include "core/moe_layer.h"
 #include "mem/buffer_pool.h"
 #include "mem/device_allocator.h"
 #include "mem/host_staging.h"
+#include "runtime/trainer.h"
 #include "tensor/random_init.h"
 
 namespace mpipe {
@@ -75,6 +80,187 @@ TEST(DeviceAllocator, VirtualTensorsAccountWithoutStorage) {
                               /*materialize=*/false);
   EXPECT_FALSE(t.tensor.defined());
   EXPECT_EQ(alloc.tracker().current_total(), 4u * 1024 * 1024);
+}
+
+// ---- cross-step workspace ---------------------------------------------------
+
+bool all_zero(const Tensor& t) {
+  const float* p = t.data();
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (p[i] != 0.0f) return false;
+  }
+  return true;
+}
+
+TEST(DeviceAllocator, WorkspaceReusesStorageAcrossSteps) {
+  mem::DeviceAllocator alloc(0);
+  alloc.begin_step();
+  const float* storage = nullptr;
+  {
+    auto t = alloc.alloc_tensor(Shape{64, 32}, Category::kActivation);
+    t.tensor.fill(3.0f);
+    storage = t.tensor.data();
+  }
+  alloc.begin_step();
+  auto again = alloc.alloc_tensor(Shape{64, 32}, Category::kActivation);
+  EXPECT_EQ(again.tensor.data(), storage);
+  EXPECT_TRUE(all_zero(again.tensor));  // reused storage comes back zeroed
+  EXPECT_EQ(alloc.workspace_slots(), 1u);
+}
+
+TEST(DeviceAllocator, WorkspaceSettlesUnderJitteredSizes) {
+  // 100 -> 125 rows grows the slot once; after that every size whose 2n
+  // covers the capacity keeps the same storage.
+  mem::DeviceAllocator alloc(0);
+  const float* storage = nullptr;
+  for (std::int64_t rows : {100, 125, 100, 125, 90}) {
+    alloc.begin_step();
+    auto t = alloc.alloc_tensor(Shape{rows, 8}, Category::kActivation);
+    if (rows == 125 && storage == nullptr) storage = t.tensor.data();
+    if (storage != nullptr) {
+      EXPECT_EQ(t.tensor.data(), storage) << rows;
+    }
+    EXPECT_TRUE(all_zero(t.tensor));
+    t.tensor.fill(1.0f);
+  }
+  // A much smaller tensor (capacity above 2n) replaces the slot's storage
+  // by 2n floats: the new storage is reused by 20 rows (n = 2 * 80) and
+  // again by 10 rows, which the 125-row storage could not be.
+  const float* shrunk = nullptr;
+  for (std::int64_t rows : {10, 20, 10}) {
+    alloc.begin_step();
+    auto t = alloc.alloc_tensor(Shape{rows, 8}, Category::kActivation);
+    if (shrunk == nullptr) shrunk = t.tensor.data();
+    EXPECT_EQ(t.tensor.data(), shrunk) << rows;
+    EXPECT_TRUE(all_zero(t.tensor));
+    t.tensor.fill(1.0f);
+  }
+  EXPECT_EQ(alloc.workspace_slots(), 1u);
+}
+
+TEST(DeviceAllocator, WorkspaceNeverRecyclesHeldStorage) {
+  mem::DeviceAllocator alloc(0);
+  alloc.begin_step();
+  // T_O: the caller keeps the tensor, the accounting record is released.
+  Tensor held = alloc.alloc_tensor(Shape{16, 8}, Category::kActivation).tensor;
+  held.fill(7.0f);
+  alloc.begin_step();
+  auto next = alloc.alloc_tensor(Shape{16, 8}, Category::kActivation);
+  EXPECT_NE(next.tensor.data(), held.data());
+  EXPECT_TRUE(all_zero(next.tensor));
+  next.tensor.fill(1.0f);
+  const float* p = held.data();
+  for (std::int64_t i = 0; i < held.numel(); ++i) ASSERT_EQ(p[i], 7.0f);
+}
+
+#ifdef MPIPE_HAS_ASAN
+// Idle workspace storage is not freed between steps, so ASan poisons it:
+// a stale pointer into last step's buffer must still fault.
+TEST(DeviceAllocatorDeathTest, AsanFlagsStaleWorkspacePointer) {
+  mem::DeviceAllocator alloc(0);
+  alloc.begin_step();
+  const float* stale =
+      alloc.alloc_tensor(Shape{32, 8}, Category::kActivation).tensor.data();
+  alloc.begin_step();
+  EXPECT_DEATH(
+      {
+        volatile float v = stale[3];
+        (void)v;
+      },
+      "use-after-poison");
+}
+#endif
+
+TEST(DeviceAllocator, WorkspaceLeavesAccountingUnchanged) {
+  // A step of fp32 and bf16-accounted activations, a released temp and an
+  // accounting-only temp. The expected figures are those of fresh storage
+  // per tensor: rows * (16 * 4 + 64 * 2) activation bytes and the 64-col
+  // fp32 temp's rows * 256 as the temp peak.
+  struct Expected {
+    std::int64_t rows;
+    std::uint64_t activation, temp;
+  };
+  mem::DeviceAllocator alloc(0);
+  const Expected steps[] = {{40, 7680, 10240},
+                            {50, 9600, 12800},
+                            {40, 7680, 10240},
+                            {45, 8640, 11520}};
+  for (const Expected& e : steps) {
+    alloc.begin_step();
+    {
+      auto x = alloc.alloc_tensor(Shape{e.rows, 16}, Category::kActivation);
+      auto y = alloc.alloc_tensor(Shape{e.rows, 64}, Category::kActivation,
+                                  true, DType::kBF16);
+      {
+        auto tmp =
+            alloc.alloc_tensor(Shape{e.rows, 16}, Category::kTempBuffer);
+      }
+      auto virt = alloc.alloc_tensor(Shape{e.rows, 64}, Category::kTempBuffer,
+                                     /*materialize=*/false);
+      EXPECT_EQ(alloc.tracker().current(Category::kActivation), e.activation);
+      EXPECT_EQ(alloc.tracker().current(Category::kTempBuffer), e.temp);
+      EXPECT_EQ(alloc.tracker().current_total(), e.activation + e.temp);
+    }
+    EXPECT_EQ(alloc.tracker().peak(Category::kActivation), e.activation);
+    EXPECT_EQ(alloc.tracker().peak(Category::kTempBuffer), e.temp);
+    EXPECT_EQ(alloc.tracker().peak_total(), e.activation + e.temp);
+    EXPECT_EQ(alloc.tracker().current_total(), 0u);
+  }
+  EXPECT_EQ(alloc.workspace_slots(), 3u);  // materialized tensors per step
+}
+
+TEST(DeviceAllocator, WorkspaceSlotsStayAtOneStepOfMoELayerAllocations) {
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 2);
+  core::MoELayerOptions o;
+  o.d_model = 8;
+  o.d_hidden = 16;
+  o.num_experts = 4;
+  o.num_partitions = 2;
+  o.memory_reuse = true;
+  o.strategy = core::ReuseStrategy::kS4;
+  core::MoELayer layer(cluster, o);
+  runtime::TrainerOptions topt;
+  topt.workload.d_model = 8;
+  topt.workload.tokens_per_device = 32;
+  topt.workload.num_devices = 2;
+  topt.workload.batch_jitter = 0.25;
+  topt.load_calibration = false;  // hermetic: no cwd-dependent curves
+  runtime::Trainer trainer(layer, topt);
+  // One step materializes T_O, the T_DI/T_M/T_DO rings (2 + 1 + 2 slots),
+  // dX, d_ys (one slot per partition) and the d_T_DO/d_T_DI rings (2 + 2);
+  // the d_T_M ring is accounting-only.
+  const std::size_t per_step = 1 + 2 + 1 + 2 + 1 + 2 + 2 + 2;
+  for (int i = 0; i < 200; ++i) {
+    trainer.train_step();
+    for (int d = 0; d < layer.num_devices(); ++d) {
+      ASSERT_EQ(layer.allocator(d).workspace_slots(), per_step)
+          << "step " << i << " device " << d;
+    }
+  }
+}
+
+TEST(DeviceAllocator, WorkspaceSlotsStayAtOneStepOfFasterMoEAllocations) {
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 2);
+  baselines::FasterMoEOptions o;
+  o.d_model = 8;
+  o.d_hidden = 16;
+  o.num_experts = 4;
+  baselines::FasterMoELayer layer(cluster, o);
+  Rng rng(5);
+  for (std::int64_t tokens : {24, 30, 20, 28, 24}) {
+    std::vector<Tensor> x, dy;
+    for (int d = 0; d < layer.num_devices(); ++d) {
+      x.push_back(random_tokens(tokens, o.d_model, rng));
+      dy.push_back(random_tokens(tokens, o.d_model, rng));
+    }
+    layer.forward(x);
+    layer.backward(dy);
+    // T_O, T_DI, T_M, T_DO and dX; the backward gradient buffers are
+    // untracked.
+    for (int d = 0; d < layer.num_devices(); ++d) {
+      EXPECT_EQ(layer.allocator(d).workspace_slots(), 5u);
+    }
+  }
 }
 
 TEST(BufferPool, SlotAliasingFollowsDepth) {

@@ -286,6 +286,75 @@ TEST(ModelZoo, TableIIIConfigs) {
   }
 }
 
+// The batch is bitwise identical for any pool size: each device's fill
+// comes from its own child stream, forked in device order.
+TEST(Workload, BatchIsBitwiseIdenticalAcrossPoolSizes) {
+  runtime::WorkloadOptions wo;
+  wo.d_model = 32;
+  wo.tokens_per_device = 200;
+  wo.num_devices = 4;
+  wo.batch_jitter = 0.25;
+  wo.seed = 31;
+  auto draw = [&](std::size_t threads) {
+    ThreadPool::reset_shared(threads);
+    runtime::WorkloadGenerator gen(wo);
+    std::vector<std::vector<float>> values;
+    for (int step = 0; step < 3; ++step) {
+      for (const Tensor& t : gen.next_batch()) {
+        values.emplace_back(t.data(), t.data() + t.numel());
+      }
+    }
+    return values;
+  };
+  const auto serial = draw(1);
+  const auto pooled = draw(4);
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(serial[i] == pooled[i]) << "batch tensor " << i;
+  }
+  // Devices draw from distinct streams.
+  EXPECT_FALSE(serial[0] == serial[1]);
+}
+
+TEST(Workload, SetRngReplaysTheBatch) {
+  runtime::WorkloadOptions wo;
+  wo.d_model = 16;
+  wo.tokens_per_device = 40;
+  wo.num_devices = 3;
+  wo.batch_jitter = 0.3;
+  runtime::WorkloadGenerator gen(wo);
+  gen.next_batch();
+  const Rng snapshot = gen.rng();
+  const auto first = gen.next_batch();
+  const std::int64_t first_tokens = gen.last_batch_tokens();
+  gen.next_batch();
+  gen.set_rng(snapshot);
+  const auto replay = gen.next_batch();
+  EXPECT_EQ(gen.last_batch_tokens(), first_tokens);
+  ASSERT_EQ(first.size(), replay.size());
+  for (std::size_t d = 0; d < first.size(); ++d) {
+    ASSERT_EQ(first[d].shape(), replay[d].shape());
+    EXPECT_EQ(max_abs_diff(first[d], replay[d]), 0.0f) << "device " << d;
+  }
+}
+
+TEST(Workload, TokensAreStandardNormal) {
+  runtime::WorkloadOptions wo;
+  wo.d_model = 64;
+  wo.tokens_per_device = 256;
+  wo.num_devices = 4;  // 64k values
+  runtime::WorkloadGenerator gen(wo);
+  RunningStats stats;
+  for (const Tensor& t : gen.next_batch()) {
+    const float* p = t.data();
+    for (std::int64_t i = 0; i < t.numel(); ++i) stats.add(p[i]);
+  }
+  ASSERT_EQ(stats.count(), 65536u);
+  EXPECT_NEAR(stats.mean(), 0.0, 0.02);
+  EXPECT_NEAR(stats.variance(), 1.0, 0.03);
+}
+
 // ---- common utilities --------------------------------------------------------
 
 TEST(Stats, RunningAndPercentiles) {

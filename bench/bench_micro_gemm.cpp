@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -155,6 +156,47 @@ BENCHMARK(BM_GemmFFN)
     ->Args({64, 64, 256})
     ->Args({256, 256, 1024})
     ->Args({512, 1024, 4096});
+
+/// The expert GEMMs of one train_wide_adaptive step (512 rows, d_model 256,
+/// d_hidden 1024), each issued from a pool worker the way the parallel
+/// executor issues it, so the GEMM runs inline on that one thread.
+/// Args {kind, M, K, N}: kind 0 = FFN forward (gemm_bias_act, bias+ReLU),
+/// 1 = dAct / dX (gemm_nt), 2 = dW + db (gemm_tn_bias_grad).
+void BM_ExpertGemmOneWorker(benchmark::State& state) {
+  const std::int64_t kind = state.range(0);
+  const std::int64_t m = state.range(1), k = state.range(2),
+                     n = state.range(3);
+  Rng rng(1);
+  Tensor a(kind == 2 ? Shape{k, m} : Shape{m, k});
+  Tensor b(kind == 1 ? Shape{n, k} : Shape{k, n});
+  Tensor c(Shape{m, n}), bias(Shape{n});
+  init_normal(a, rng);
+  init_normal(b, rng);
+  init_normal(bias, rng);
+  const auto call = [&] {
+    if (kind == 0) {
+      gemm_bias_act(a, b, bias, GemmEpilogue::kBiasReLU, c);
+    } else if (kind == 1) {
+      gemm_nt(a, b, c);
+    } else {
+      gemm_tn_bias_grad(a, b, c, bias, /*accumulate=*/true);
+    }
+  };
+  for (auto _ : state) {
+    ThreadPool::shared().submit(call).get();
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  flops_counter(state, m, n, k);
+}
+BENCHMARK(BM_ExpertGemmOneWorker)
+    ->Args({0, 512, 256, 1024})   // C1: T_M = act(T_DI W1 + b1)
+    ->Args({0, 512, 1024, 256})   // C2: T_DO = T_M W2 + b2
+    ->Args({1, 512, 256, 1024})   // dAct = dY W2^T
+    ->Args({1, 512, 1024, 256})   // dX = dPre W1^T
+    ->Args({2, 1024, 512, 256})   // dW2 += Act^T dY, db2
+    ->Args({2, 256, 512, 1024})   // dW1 += X^T dPre, db1
+    ->UseRealTime();  // the calling thread only waits on the worker
 
 // ---- mixed-precision B operand (pack-time dequant) -------------------------
 

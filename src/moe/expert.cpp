@@ -1,6 +1,7 @@
 #include "moe/expert.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -86,22 +87,31 @@ Tensor ExpertFFN::forward(const Tensor& x, Tensor& mid) const {
   MPIPE_EXPECTS(x.shape().rank() == 2 && x.dim(1) == d_model(),
                 "expert input must be (rows, M)");
   mid = Tensor(Shape{x.dim(0), d_hidden()});
-  Tensor act;
+  Tensor out(Shape{x.dim(0), d_model()});
+  forward_into(x, mid, out);
+  return out;
+}
+
+void ExpertFFN::forward_into(const Tensor& x, Tensor& mid, Tensor& out) const {
   if (activation_ == ActivationKind::kReLU) {
     // FFN1 with the bias+ReLU epilogue fused into the GEMM tile writes.
     ffn1(x, GemmEpilogue::kBiasReLU, mid);
-    act = mid;
+    ffn2(mid, out);
   } else {
     ffn1(x, GemmEpilogue::kBias, mid);  // stash pre-activation
-    act = gelu(mid);
+    ffn2(gelu(mid), out);
   }
-  Tensor out(Shape{x.dim(0), d_model()});
-  ffn2(act, out);
-  return out;
 }
 
 Tensor ExpertFFN::backward(const Tensor& dy, const Tensor& x,
                            const Tensor& mid) {
+  Tensor dx(Shape{x.dim(0), d_model()});
+  backward_into(dy, x, mid, dx);
+  return dx;
+}
+
+void ExpertFFN::backward_into(const Tensor& dy, const Tensor& x,
+                              const Tensor& mid, Tensor& dx) {
   MPIPE_EXPECTS(dy.dim(0) == x.dim(0), "row count mismatch");
   // Recover the post-activation values FFN2 consumed.
   Tensor act = activation_ == ActivationKind::kReLU ? mid : gelu(mid);
@@ -119,15 +129,14 @@ Tensor ExpertFFN::backward(const Tensor& dy, const Tensor& x,
   Tensor dpre = activation_ == ActivationKind::kReLU
                     ? relu_backward(dact, mid)
                     : gelu_backward(dact, mid);
-  // dW1 += x^T dpre and db1 += colsum(dpre), same fused pass; dx = dpre W1^T.
+  // dW1 += x^T dpre and db1 += colsum(dpre), same fused pass; dx = dpre W1^T
+  // last, so dx may alias the rows of any input.
   gemm_tn_bias_grad(x, dpre, gw1_, gb1_, /*accumulate=*/true);
-  Tensor dx(Shape{x.dim(0), d_model()});
   if (compute_dtype_ == DType::kF32) {
     gemm_nt(dpre, w1_, dx);
   } else {
     gemm_nt_q(dpre, qview(qw1_), dx);
   }
-  return dx;
 }
 
 namespace {
@@ -233,52 +242,101 @@ void scatter_spans(const Tensor& src, Tensor& buf, const RowSpanList& spans) {
   }
 }
 
+namespace {
+
+/// The rows a span list selects from the pipeline buffers, as packed
+/// (rows x cols) tensors the GEMMs consume. When the spans tile one gap-free
+/// run of buffer rows in order (zero-count spans skipped) — every span list
+/// with one expert per device — a packed tensor is a zero-copy row view, so
+/// inputs are read and outputs written in place. Otherwise inputs are
+/// gathered and outputs scattered back.
+class SpanRows {
+ public:
+  explicit SpanRows(const RowSpanList& spans) : spans_(spans) {
+    RowSpan run;
+    for (const RowSpan& s : spans) {
+      if (s.count == 0) continue;
+      if (run.count > 0 && s.offset != run.offset + run.count) return;
+      if (run.count == 0) run.offset = s.offset;
+      run.count += s.count;
+    }
+    run_ = run;
+  }
+
+  /// Rows covered; 0 for empty and all-zero-count lists.
+  std::int64_t count() const {
+    return run_ ? run_->count : span_rows(spans_);
+  }
+
+  /// The covered rows of an input buffer.
+  Tensor in(const Tensor& buf) const {
+    return run_ ? buf.row_view(run_->offset, run_->offset + run_->count)
+                : gather_spans(buf, spans_);
+  }
+
+  /// Where to write the covered rows of an output buffer; hand the result
+  /// to done() once written.
+  Tensor out(Tensor& buf) const {
+    return run_ ? buf.row_view(run_->offset, run_->offset + run_->count)
+                : Tensor(Shape{count(), buf.dim(1)});
+  }
+
+  void done(const Tensor& rows, Tensor& buf) const {
+    if (!run_) scatter_spans(rows, buf, spans_);
+  }
+
+ private:
+  const RowSpanList& spans_;
+  std::optional<RowSpan> run_;
+};
+
+}  // namespace
+
 void ExpertFFN::forward_rows(const Tensor& in, const RowSpanList& spans,
                              Tensor& mid_buf, Tensor& out_buf) const {
-  if (spans.empty()) return;
-  Tensor x = gather_spans(in, spans);
-  Tensor mid;
-  Tensor y = forward(x, mid);
-  scatter_spans(mid, mid_buf, spans);
-  scatter_spans(y, out_buf, spans);
+  const SpanRows rows(spans);
+  if (rows.count() == 0) return;
+  Tensor mid = rows.out(mid_buf);
+  Tensor out = rows.out(out_buf);
+  forward_into(rows.in(in), mid, out);
+  rows.done(mid, mid_buf);
+  rows.done(out, out_buf);
 }
 
 void ExpertFFN::forward_out_rows(const Tensor& mid_buf,
                                  const RowSpanList& spans,
                                  Tensor& out_buf) const {
-  if (spans.empty()) return;
-  Tensor mid = gather_spans(mid_buf, spans);
-  Tensor act = activation_ == ActivationKind::kReLU ? mid : gelu(mid);
-  Tensor out(Shape{mid.dim(0), d_model()});
-  ffn2(act, out);
-  scatter_spans(out, out_buf, spans);
+  const SpanRows rows(spans);
+  if (rows.count() == 0) return;
+  Tensor mid = rows.in(mid_buf);
+  Tensor out = rows.out(out_buf);
+  ffn2(activation_ == ActivationKind::kReLU ? mid : gelu(mid), out);
+  rows.done(out, out_buf);
 }
 
 void ExpertFFN::backward_rows(const Tensor& dout_buf, const Tensor& in_buf,
                               const Tensor& mid_buf, const RowSpanList& spans,
                               Tensor& din_buf) {
-  if (spans.empty()) return;
-  Tensor dy = gather_spans(dout_buf, spans);
-  Tensor x = gather_spans(in_buf, spans);
-  Tensor mid = gather_spans(mid_buf, spans);
-  Tensor dx = backward(dy, x, mid);
-  scatter_spans(dx, din_buf, spans);
+  const SpanRows rows(spans);
+  if (rows.count() == 0) return;
+  Tensor dx = rows.out(din_buf);
+  backward_into(rows.in(dout_buf), rows.in(in_buf), rows.in(mid_buf), dx);
+  rows.done(dx, din_buf);
 }
 
 void ExpertFFN::recompute_mid_rows(const Tensor& in_buf,
                                    const RowSpanList& spans,
                                    Tensor& mid_buf) const {
-  if (spans.empty()) return;
-  Tensor x = gather_spans(in_buf, spans);
-  Tensor mid(Shape{x.dim(0), d_hidden()});
+  const SpanRows rows(spans);
+  if (rows.count() == 0) return;
+  Tensor mid = rows.out(mid_buf);
   // Same stash convention as forward(): ReLU keeps post-activation, GELU
   // keeps pre-activation — both with the bias (and ReLU) fused.
-  if (activation_ == ActivationKind::kReLU) {
-    ffn1(x, GemmEpilogue::kBiasReLU, mid);
-  } else {
-    ffn1(x, GemmEpilogue::kBias, mid);
-  }
-  scatter_spans(mid, mid_buf, spans);
+  ffn1(rows.in(in_buf),
+       activation_ == ActivationKind::kReLU ? GemmEpilogue::kBiasReLU
+                                            : GemmEpilogue::kBias,
+       mid);
+  rows.done(mid, mid_buf);
 }
 
 void ExpertFFN::zero_grad() {

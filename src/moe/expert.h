@@ -3,8 +3,11 @@
 /// The expert FFN: y = act(x W1 + b1) W2 + b2 — the paper's default expert
 /// (two linear layers, activation applied in place). Span-indexed variants
 /// let several experts on one device process disjoint contiguous row spans
-/// of the shared T_DI / T_M / T_DO partition buffers; tokens move by block
-/// memcpy and the GEMMs fuse the bias/activation epilogue.
+/// of the shared T_DI / T_M / T_DO partition buffers. When an expert's spans
+/// form one contiguous run (one expert per device), its GEMMs run on row
+/// views of the buffers and write their outputs in place; scattered spans
+/// (several experts per device) are gathered and scattered by block memcpy.
+/// The GEMMs fuse the bias/activation epilogue.
 
 #include <vector>
 
@@ -91,6 +94,11 @@ class ExpertFFN {
  private:
   void ffn1(const Tensor& x, GemmEpilogue ep, Tensor& mid) const;
   void ffn2(const Tensor& act, Tensor& out) const;
+  /// forward()/backward() into caller-provided (rows x H) / (rows x M)
+  /// outputs, which may be row views of the pipeline buffers.
+  void forward_into(const Tensor& x, Tensor& mid, Tensor& out) const;
+  void backward_into(const Tensor& dy, const Tensor& x, const Tensor& mid,
+                     Tensor& dx);
 
   ActivationKind activation_;
   Tensor w1_, b1_, w2_, b2_;

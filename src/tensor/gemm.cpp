@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
+
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -16,18 +21,26 @@ namespace {
 
 // ---- blocking parameters --------------------------------------------------
 // One C tile is MC x NC; K is consumed in KC slices. Per K slice the packed
-// A tile (MC*KC floats) lives in L2 and each packed B micro-panel (KC*NR
-// floats, 16 KiB) in L1. The micro-kernel is MR x NR = 8 x 16: eight
-// vector accumulators with one B load and eight A broadcasts per k step,
-// written so the compiler turns the unit-stride j loop into FMAs.
+// B block (KC*NC floats) is shared by every row block of a task's run, and
+// the micro-kernel streams one KC x NR B micro-panel against MR-row A
+// micro-panels read in place. The register tile is MR x NR = 8 x 32
+// (sixteen zmm accumulators) under AVX-512 and 8 x 16 elsewhere. KC is
+// part of the numeric contract: every C element accumulates its k products
+// in order in one FMA chain per KC slice, and the slice sums are added to C
+// in slice order, so changing KC would change the bits of every result.
+// MR, NR, MC and NC only change the schedule.
 constexpr std::int64_t kMR = 8;
+#if defined(__AVX512F__)
+constexpr std::int64_t kNR = 32;
+#else
 constexpr std::int64_t kNR = 16;
+#endif
 constexpr std::int64_t kMC = 64;
 constexpr std::int64_t kNC = 128;
 constexpr std::int64_t kKC = 256;
 static_assert(kMC % kMR == 0 && kNC % kNR == 0, "tile/micro mismatch");
 
-/// 64-byte-aligned thread-local scratch for packed panels.
+/// 64-byte-aligned thread-local scratch for packed B blocks.
 class AlignedScratch {
  public:
   float* get(std::size_t n) {
@@ -49,35 +62,59 @@ struct MatView {
   bool trans;
 };
 
-/// Packs the logical A block [i0, i0+mb) x [k0, k0+kc) into MR-row micro
-/// panels: panel ip holds kc columns of MR consecutive row values
-/// ([k][m] order). Ragged rows are zero-padded so the micro-kernel never
-/// branches in its FMA loop.
-void pack_a(const MatView& a, std::int64_t i0, std::int64_t k0,
-            std::int64_t mb, std::int64_t kc, float* MPIPE_RESTRICT out) {
-  for (std::int64_t ip = 0; ip < mb; ip += kMR) {
-    const std::int64_t mr = std::min(kMR, mb - ip);
-    float* MPIPE_RESTRICT panel = out + ip * kc;
-    if (a.trans) {
-      // A stored (k x m): rows of the panel are unit-stride in memory.
-      for (std::int64_t k = 0; k < kc; ++k) {
-        const float* MPIPE_RESTRICT src =
-            a.data + (k0 + k) * a.ld + i0 + ip;
-        float* MPIPE_RESTRICT dst = panel + k * kMR;
-        for (std::int64_t m = 0; m < mr; ++m) dst[m] = src[m];
-        for (std::int64_t m = mr; m < kMR; ++m) dst[m] = 0.0f;
-      }
-    } else {
-      for (std::int64_t m = 0; m < mr; ++m) {
-        const float* MPIPE_RESTRICT src =
-            a.data + (i0 + ip + m) * a.ld + k0;
-        for (std::int64_t k = 0; k < kc; ++k) panel[k * kMR + m] = src[k];
-      }
-      for (std::int64_t m = mr; m < kMR; ++m) {
-        for (std::int64_t k = 0; k < kc; ++k) panel[k * kMR + m] = 0.0f;
-      }
-    }
+/// One MR-row A micro-panel, read in place rather than packed: element
+/// (m, k) is row[m][k * kstep]. Both layouts stream unit-stride in one
+/// direction (along k for A, along m for A^T), so the kernel's broadcasts
+/// need no copy of A. Rows past a ragged edge alias the last real row: the
+/// kernel computes them without branching and never stores them.
+struct APanel {
+  const float* row[kMR];
+  std::int64_t kstep;
+};
+
+APanel a_panel(const MatView& a, std::int64_t i, std::int64_t k0,
+               std::int64_t mr) {
+  APanel p;
+  p.kstep = a.trans ? a.ld : 1;
+  const std::int64_t mstep = a.trans ? 1 : a.ld;
+  const float* base =
+      a.trans ? a.data + k0 * a.ld + i : a.data + i * a.ld + k0;
+  for (std::int64_t m = 0; m < kMR; ++m) {
+    p.row[m] = base + std::min(m, mr - 1) * mstep;
   }
+  return p;
+}
+
+/// dst[c * ldd + r] = src[r * ld + c] for the 8 x 8 block at src: the
+/// transposing step of the nt-B pack. Plain element loops of this shape
+/// compile to scalar strided stores; the AVX form is 24 shuffles per 64
+/// floats.
+inline void transpose_8x8(const float* MPIPE_RESTRICT src, std::int64_t ld,
+                          float* MPIPE_RESTRICT dst, std::int64_t ldd) {
+#if defined(__AVX__)
+  __m256 r[8], t[8];
+  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * ld);
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    r[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * ldd,
+                     _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+  }
+#else
+  for (int c = 0; c < 8; ++c) {
+    for (int r = 0; r < 8; ++r) dst[c * ldd + r] = src[r * ld + c];
+  }
+#endif
 }
 
 /// The B operand in any storage dtype: `trans` means the logical
@@ -105,11 +142,24 @@ void pack_b_t(const T* MPIPE_RESTRICT data, std::int64_t ld, bool trans,
     const std::int64_t nr = std::min(kNR, nb - jp);
     float* MPIPE_RESTRICT panel = out + jp * kc;
     if (trans) {
-      // B stored (n x k): each output column is unit-stride in k.
+      // B stored (n x k): each output column is unit-stride in k. Full
+      // fp32 panels transpose in 8 x 8 blocks; the remainder goes one
+      // column at a time.
+      std::int64_t kt = 0;
+      if constexpr (std::is_same_v<T, float>) {
+        if (nr == kNR) {
+          for (; kt + 8 <= kc; kt += 8) {
+            for (std::int64_t j = 0; j < kNR; j += 8) {
+              transpose_8x8(data + (j0 + jp + j) * ld + k0 + kt, ld,
+                            panel + kt * kNR + j, kNR);
+            }
+          }
+        }
+      }
       for (std::int64_t j = 0; j < nr; ++j) {
         const std::int64_t row = j0 + jp + j;
         const T* MPIPE_RESTRICT src = data + row * ld + k0;
-        for (std::int64_t k = 0; k < kc; ++k) {
+        for (std::int64_t k = kt; k < kc; ++k) {
           panel[k * kNR + j] = conv(src[k], row);
         }
       }
@@ -121,8 +171,12 @@ void pack_b_t(const T* MPIPE_RESTRICT data, std::int64_t ld, bool trans,
         const std::int64_t row = k0 + k;
         const T* MPIPE_RESTRICT src = data + row * ld + j0 + jp;
         float* MPIPE_RESTRICT dst = panel + k * kNR;
-        for (std::int64_t j = 0; j < nr; ++j) dst[j] = conv(src[j], row);
-        for (std::int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
+        if (nr == kNR) {
+          for (std::int64_t j = 0; j < kNR; ++j) dst[j] = conv(src[j], row);
+        } else {
+          for (std::int64_t j = 0; j < nr; ++j) dst[j] = conv(src[j], row);
+          for (std::int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
+        }
       }
     }
   }
@@ -158,28 +212,89 @@ void pack_b(const BView& b, std::int64_t k0, std::int64_t j0,
   MPIPE_UNREACHABLE("unknown dtype");
 }
 
-/// C[0..mr) x [0..nr) (+)= Apanel * Bpanel over kc steps. The accumulator
-/// block (kMR vector rows of kNR floats) stays in registers for the whole
-/// k loop; each k step is one B-row load plus kMR broadcast FMAs.
+/// Prefetches the A values the kernel reads 8 k steps after `ak`. A^T
+/// panels step a whole row (often 4 KiB) per k, beyond what the hardware
+/// stride prefetcher follows; the first and last row cover both cache lines
+/// the 8 values can span. For A panels the hardware already streams the
+/// rows and this only touches lines it has fetched.
+inline void prefetch_a(const APanel& a, std::int64_t ak) {
 #if defined(__GNUC__) || defined(__clang__)
+  // Integer arithmetic: the address may lie past the end of A, and a
+  // prefetch never faults, but forming such a pointer would be UB.
+  const auto ahead = static_cast<std::uintptr_t>(8 * a.kstep) * sizeof(float);
+  for (const float* row : {a.row[0], a.row[kMR - 1]}) {
+    __builtin_prefetch(reinterpret_cast<const void*>(
+        reinterpret_cast<std::uintptr_t>(row + ak) + ahead));
+  }
+#endif
+}
 
-// Explicit vector type: GCC 12's auto-vectorizer turns the equivalent
-// scalar loops into a permute cascade, so the kernel spells out the shape
-// it wants. vector_size(64) compiles on any target (narrower ISAs split
-// the ops); alignment 4 keeps loads/stores legal on unpadded C rows.
+/// C[0..mr) x [0..nr) (+)= A panel * packed B panel over kc steps. The
+/// accumulator block (kMR rows of kNR floats) stays in registers for the
+/// whole k loop; each k step loads one B row and broadcasts kMR A values
+/// into FMAs.
+#if defined(__AVX512F__)
+
+// Two zmm accumulators per row, spelled with intrinsics: GCC 12 keeps the
+// sixteen accumulators in registers this way, while the vector-extension
+// form of the same 8 x 32 tile spills them.
+void micro_kernel(const APanel& a, const float* MPIPE_RESTRICT bp,
+                  std::int64_t kc, float* MPIPE_RESTRICT c, std::int64_t ldc,
+                  std::int64_t mr, std::int64_t nr, bool overwrite) {
+  static_assert(kNR == 32, "the AVX-512 tile is two zmm columns wide");
+  __m512 lo[kMR], hi[kMR];
+  for (std::int64_t m = 0; m < kMR; ++m) {
+    lo[m] = _mm512_setzero_ps();
+    hi[m] = _mm512_setzero_ps();
+  }
+  for (std::int64_t k = 0, ak = 0; k < kc; ++k, ak += a.kstep) {
+    const __m512 b_lo = _mm512_load_ps(bp + k * kNR);
+    const __m512 b_hi = _mm512_load_ps(bp + k * kNR + 16);
+    prefetch_a(a, ak);
+    for (std::int64_t m = 0; m < kMR; ++m) {
+      const __m512 av = _mm512_set1_ps(a.row[m][ak]);
+      lo[m] = _mm512_fmadd_ps(av, b_lo, lo[m]);
+      hi[m] = _mm512_fmadd_ps(av, b_hi, hi[m]);
+    }
+  }
+  // Ragged columns are masked; ragged rows are simply not written.
+  const __mmask16 mask_lo =
+      nr >= 16 ? __mmask16(0xFFFF) : __mmask16((1u << nr) - 1);
+  const __mmask16 mask_hi =
+      nr >= 32 ? __mmask16(0xFFFF)
+               : nr > 16 ? __mmask16((1u << (nr - 16)) - 1) : __mmask16(0);
+  for (std::int64_t m = 0; m < kMR; ++m) {
+    if (m == mr) break;
+    float* crow = c + m * ldc;
+    __m512 v_lo = lo[m], v_hi = hi[m];
+    if (!overwrite) {
+      v_lo = _mm512_add_ps(_mm512_maskz_loadu_ps(mask_lo, crow), v_lo);
+      v_hi = _mm512_add_ps(_mm512_maskz_loadu_ps(mask_hi, crow + 16), v_hi);
+    }
+    _mm512_mask_storeu_ps(crow, mask_lo, v_lo);
+    _mm512_mask_storeu_ps(crow + 16, mask_hi, v_hi);
+  }
+}
+
+#elif defined(__GNUC__) || defined(__clang__)
+
+// The non-AVX-512 kernel, 8 x 16. Explicit vector type: GCC 12's
+// auto-vectorizer turns the equivalent scalar loops into a permute
+// cascade, so the kernel spells out the shape it wants. vector_size(64)
+// compiles on any target (narrower ISAs split the ops); alignment 4 keeps
+// loads/stores legal on unpadded C rows.
 typedef float VRow __attribute__((vector_size(kNR * sizeof(float)),
                                   aligned(alignof(float))));
 
-void micro_kernel(const float* MPIPE_RESTRICT ap,
-                  const float* MPIPE_RESTRICT bp, std::int64_t kc,
-                  float* MPIPE_RESTRICT c, std::int64_t ldc, std::int64_t mr,
-                  std::int64_t nr, bool overwrite) {
+void micro_kernel(const APanel& a, const float* MPIPE_RESTRICT bp,
+                  std::int64_t kc, float* MPIPE_RESTRICT c, std::int64_t ldc,
+                  std::int64_t mr, std::int64_t nr, bool overwrite) {
   VRow acc[kMR] = {};
-  for (std::int64_t k = 0; k < kc; ++k) {
+  for (std::int64_t k = 0, ak = 0; k < kc; ++k, ak += a.kstep) {
     const VRow brow = *reinterpret_cast<const VRow*>(bp + k * kNR);
-    const float* MPIPE_RESTRICT arow = ap + k * kMR;
+    prefetch_a(a, ak);
     for (std::int64_t m = 0; m < kMR; ++m) {
-      acc[m] += arow[m] * brow;
+      acc[m] += a.row[m][ak] * brow;
     }
   }
   if (mr == kMR && nr == kNR) {
@@ -201,16 +316,14 @@ void micro_kernel(const float* MPIPE_RESTRICT ap,
 
 #else  // portable scalar fallback
 
-void micro_kernel(const float* MPIPE_RESTRICT ap,
-                  const float* MPIPE_RESTRICT bp, std::int64_t kc,
-                  float* MPIPE_RESTRICT c, std::int64_t ldc, std::int64_t mr,
-                  std::int64_t nr, bool overwrite) {
+void micro_kernel(const APanel& a, const float* MPIPE_RESTRICT bp,
+                  std::int64_t kc, float* MPIPE_RESTRICT c, std::int64_t ldc,
+                  std::int64_t mr, std::int64_t nr, bool overwrite) {
   float acc[kMR * kNR] = {};
-  for (std::int64_t k = 0; k < kc; ++k) {
+  for (std::int64_t k = 0, ak = 0; k < kc; ++k, ak += a.kstep) {
     const float* brow = bp + k * kNR;
-    const float* arow = ap + k * kMR;
     for (std::int64_t m = 0; m < kMR; ++m) {
-      const float am = arow[m];
+      const float am = a.row[m][ak];
       float* accrow = acc + m * kNR;
       for (std::int64_t j = 0; j < kNR; ++j) accrow[j] += am * brow[j];
     }
@@ -274,13 +387,15 @@ void reduce_b_panel(const float* MPIPE_RESTRICT bpack, std::int64_t kc,
   }
 }
 
-/// Shared driver: parallelizes over the M x N tile grid; each task packs
-/// its own A/B panels into thread-local scratch and runs the micro-kernel
-/// over every K slice before applying the epilogue to its tile. When
-/// `bias_grad` is set, the i0 == 0 task of each column range additionally
-/// accumulates colsum(B) from the packed panels it already holds; K slices
-/// reduce in order inside that one task, keeping the sum deterministic
-/// under any thread count.
+/// Shared driver: parallelizes over the M x N tile grid, numbered
+/// column-block-major so that a task's contiguous tile range splits into
+/// runs of row blocks under one column block. Per K slice a run packs its
+/// B block once into thread-local scratch and reuses it for every row
+/// block, packing only that block's A panel; a tile's epilogue runs right
+/// after its last K slice. When `bias_grad` is set, the run that holds row
+/// block 0 of a column range additionally accumulates colsum(B) from the
+/// packed block it already holds; K slices reduce in order inside that one
+/// task, keeping the sum deterministic under any thread count.
 void gemm_driver(const MatView& a, const BView& b, float* c,
                  std::int64_t ldc, std::int64_t m, std::int64_t n,
                  std::int64_t k, bool accumulate, const float* bias,
@@ -303,35 +418,40 @@ void gemm_driver(const MatView& a, const BView& b, float* c,
   ThreadPool::shared().parallel_for(
       static_cast<std::size_t>(mt * nt),
       [&](std::size_t tile_begin, std::size_t tile_end) {
-        static thread_local AlignedScratch a_scratch, b_scratch;
-        float* apack = a_scratch.get(static_cast<std::size_t>(kMC * kKC));
+        static thread_local AlignedScratch b_scratch;
         float* bpack = b_scratch.get(static_cast<std::size_t>(kKC * kNC));
-        for (std::size_t t = tile_begin; t < tile_end; ++t) {
-          const std::int64_t i0 = static_cast<std::int64_t>(t) / nt * kMC;
-          const std::int64_t j0 = static_cast<std::int64_t>(t) % nt * kNC;
-          const std::int64_t mb = std::min(kMC, m - i0);
+        const auto end = static_cast<std::int64_t>(tile_end);
+        for (auto run = static_cast<std::int64_t>(tile_begin); run < end;) {
+          const std::int64_t jb = run / mt;
+          const std::int64_t run_end = std::min(end, (jb + 1) * mt);
+          const std::int64_t j0 = jb * kNC;
           const std::int64_t nb = std::min(kNC, n - j0);
           for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
             const std::int64_t kc = std::min(kKC, k - k0);
             const bool overwrite = !accumulate && k0 == 0;
-            pack_a(a, i0, k0, mb, kc, apack);
+            const bool last_slice = k0 + kc == k;
             pack_b(b, k0, j0, kc, nb, bpack);
-            if (bias_grad != nullptr && i0 == 0) {
+            if (bias_grad != nullptr && run % mt == 0) {
               reduce_b_panel(bpack, kc, nb, bias_grad + j0);
             }
-            for (std::int64_t jp = 0; jp < nb; jp += kNR) {
-              const std::int64_t nr = std::min(kNR, nb - jp);
-              for (std::int64_t ip = 0; ip < mb; ip += kMR) {
-                const std::int64_t mr = std::min(kMR, mb - ip);
-                micro_kernel(apack + ip * kc, bpack + jp * kc, kc,
-                             c + (i0 + ip) * ldc + j0 + jp, ldc, mr, nr,
-                             overwrite);
+            for (std::int64_t t = run; t < run_end; ++t) {
+              const std::int64_t i0 = t % mt * kMC;
+              const std::int64_t mb = std::min(kMC, m - i0);
+              for (std::int64_t jp = 0; jp < nb; jp += kNR) {
+                const std::int64_t nr = std::min(kNR, nb - jp);
+                for (std::int64_t ip = 0; ip < mb; ip += kMR) {
+                  const std::int64_t mr = std::min(kMR, mb - ip);
+                  micro_kernel(a_panel(a, i0 + ip, k0, mr), bpack + jp * kc,
+                               kc, c + (i0 + ip) * ldc + j0 + jp, ldc, mr, nr,
+                               overwrite);
+                }
+              }
+              if (last_slice && ep != GemmEpilogue::kNone) {
+                epilogue_tile(c + i0 * ldc + j0, ldc, mb, nb, bias + j0, ep);
               }
             }
           }
-          if (ep != GemmEpilogue::kNone) {
-            epilogue_tile(c + i0 * ldc + j0, ldc, mb, nb, bias + j0, ep);
-          }
+          run = run_end;
         }
       },
       /*grain=*/1);

@@ -57,7 +57,7 @@ void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
 // The quantized entry points mirror their fp32 twins but take the B
 // (weight) operand in reduced-precision storage. Dequantization happens
 // at pack time — the same place the nt/tn transpose already happens — so
-// the 8x16 micro-kernel and its fp32 accumulators are untouched: one
+// the micro-kernel and its fp32 accumulators are untouched: one
 // compute core for every dtype. A kF32 QuantView routes through the
 // identical packing code as the fp32 entry points (bitwise identical).
 

@@ -86,6 +86,18 @@ Tensor Tensor::slice_rows(std::int64_t row_begin, std::int64_t row_end) const {
   return out;
 }
 
+Tensor Tensor::row_view(std::int64_t row_begin, std::int64_t row_end) const {
+  MPIPE_EXPECTS(shape_.rank() == 2, "row_view on non-matrix");
+  MPIPE_EXPECTS(0 <= row_begin && row_begin <= row_end &&
+                    row_end <= shape_.dim(0),
+                "row range out of bounds");
+  Tensor view;
+  view.shape_ = Shape{row_end - row_begin, shape_.dim(1)};
+  view.storage_ = storage_;
+  view.offset_ = offset_ + row_begin * shape_.dim(1);
+  return view;
+}
+
 void Tensor::copy_into_rows(std::int64_t row_begin, const Tensor& src) {
   MPIPE_EXPECTS(shape_.rank() == 2 && src.shape().rank() == 2,
                 "copy_into_rows on non-matrix");

@@ -55,6 +55,10 @@ class Tensor {
   /// Returns a deep-copied row slice [row_begin, row_end) of a 2-D tensor.
   Tensor slice_rows(std::int64_t row_begin, std::int64_t row_end) const;
 
+  /// Views rows [row_begin, row_end) of a 2-D tensor in place: shares the
+  /// storage (writes through the view land in this tensor), no copy.
+  Tensor row_view(std::int64_t row_begin, std::int64_t row_end) const;
+
   /// Copies `src` into rows [row_begin, row_begin+src.rows) of this 2-D
   /// tensor (shapes must agree on the column count).
   void copy_into_rows(std::int64_t row_begin, const Tensor& src);
@@ -73,7 +77,8 @@ class Tensor {
  private:
   Shape shape_;
   std::shared_ptr<std::vector<float>> storage_;
-  // Offset into storage in elements; nonzero only for reshape views.
+  // Offset into storage in elements; nonzero for row views and reshapes
+  // of them.
   std::int64_t offset_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -218,6 +219,99 @@ TEST(ExpertBackward, EmptyAndSingleRowSpans) {
   auto g2 = ref.gradients();
   for (std::size_t i = 0; i < g1.size(); ++i) {
     expect_close(*g1[i], *g2[i], 1e-5f, 1e-6f);
+  }
+}
+
+void copy_weights(moe::ExpertFFN& from, moe::ExpertFFN& to) {
+  auto src = from.parameters();
+  auto dst = to.parameters();
+  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = src[i]->clone();
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.nbytes()) == 0;
+}
+
+bool all_nan(const Tensor& t) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (!std::isnan(t.at(i))) return false;
+  }
+  return true;
+}
+
+/// `rows` with one NaN row inserted before row `at`.
+Tensor with_gap(const Tensor& rows, std::int64_t at) {
+  Tensor out = Tensor::full(Shape{rows.dim(0) + 1, rows.dim(1)}, NAN);
+  out.copy_into_rows(0, rows.slice_rows(0, at));
+  out.copy_into_rows(at + 1, rows.slice_rows(at, rows.dim(0)));
+  return out;
+}
+
+TEST_P(ExpertBackward, ContiguousRunMatchesGatheredAndDenseBitwise) {
+  // Rows [3, 40) of a 44-row buffer as in-order spans with an empty one:
+  // one contiguous run, so backward_rows reads views of dout/in/mid and
+  // writes dX straight into din. 37 rows cross the 8-row register tile.
+  const std::int64_t r0 = 3, r1 = 40, rows = r1 - r0, gap = 20;
+  const moe::RowSpanList run = {{3, 17}, {20, 0}, {20, 20}};
+  const moe::RowSpanList gapped = {{0, gap}, {gap + 1, rows - gap}};
+  Rng rng(43);
+  moe::ExpertFFN view(24, 72, GetParam(), rng);
+  moe::ExpertFFN gathered(24, 72, GetParam(), rng);
+  moe::ExpertFFN dense(24, 72, GetParam(), rng);
+  copy_weights(view, gathered);
+  copy_weights(view, dense);
+
+  Tensor x(Shape{rows, 24}), dy(Shape{rows, 24});
+  init_normal(x, rng, 1.0f);
+  init_normal(dy, rng, 1.0f);
+  Tensor in = Tensor::full(Shape{44, 24}, NAN);
+  Tensor dout = Tensor::full(Shape{44, 24}, NAN);
+  in.copy_into_rows(r0, x);
+  dout.copy_into_rows(r0, dy);
+  Tensor mid_buf = Tensor::full(Shape{44, 72}, NAN);
+  Tensor out_buf = Tensor::full(Shape{44, 24}, NAN);
+  Tensor din = Tensor::full(Shape{44, 24}, NAN);
+  view.forward_rows(in, run, mid_buf, out_buf);
+  view.zero_grad();
+  view.backward_rows(dout, in, mid_buf, run, din);
+  EXPECT_TRUE(all_nan(din.slice_rows(0, r0)));
+  EXPECT_TRUE(all_nan(din.slice_rows(r1, 44)));
+
+  Tensor mid;
+  dense.forward(x, mid);
+  dense.zero_grad();
+  EXPECT_TRUE(same_bits(din.slice_rows(r0, r1), dense.backward(dy, x, mid)));
+
+  Tensor in_g = with_gap(x, gap), dout_g = with_gap(dy, gap);
+  Tensor mid_g(Shape{rows + 1, 72}), out_g(Shape{rows + 1, 24});
+  Tensor din_g(Shape{rows + 1, 24});
+  gathered.forward_rows(in_g, gapped, mid_g, out_g);
+  gathered.zero_grad();
+  gathered.backward_rows(dout_g, in_g, mid_g, gapped, din_g);
+  EXPECT_TRUE(
+      same_bits(din.slice_rows(r0, r0 + gap), din_g.slice_rows(0, gap)));
+  EXPECT_TRUE(same_bits(din.slice_rows(r0 + gap, r1),
+                        din_g.slice_rows(gap + 1, rows + 1)));
+
+  const auto gv = view.gradients(), gg = gathered.gradients(),
+             gd = dense.gradients();
+  for (std::size_t i = 0; i < gv.size(); ++i) {
+    EXPECT_TRUE(same_bits(*gv[i], *gg[i])) << "gradient " << i;
+    EXPECT_TRUE(same_bits(*gv[i], *gd[i])) << "gradient " << i;
+  }
+
+  // Empty and zero-count span lists leave buffers and gradients alone.
+  for (const moe::RowSpanList& none :
+       {moe::RowSpanList{}, moe::RowSpanList{{5, 0}, {9, 0}}}) {
+    const Tensor din0 = din.clone();
+    std::vector<Tensor> g0;
+    for (Tensor* g : view.gradients()) g0.push_back(g->clone());
+    view.backward_rows(dout, in, mid_buf, none, din);
+    EXPECT_TRUE(same_bits(din, din0));
+    for (std::size_t i = 0; i < g0.size(); ++i) {
+      EXPECT_TRUE(same_bits(*view.gradients()[i], g0[i]));
+    }
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "common/check.h"
 
 #include "moe/attention.h"
@@ -186,6 +189,94 @@ TEST(Expert, SpanIndexedMatchesDense) {
   Tensor out2(Shape{6, 4});
   expert.forward_out_rows(mid_buf, spans, out2);
   EXPECT_LT(max_abs_diff(out2, out_buf), 1e-6f);
+}
+
+/// `rows` with one NaN row inserted before row `at`: the same rows as a
+/// two-span list with a gap, which forces the gather/scatter path.
+Tensor with_gap(const Tensor& rows, std::int64_t at) {
+  Tensor out = Tensor::full(Shape{rows.dim(0) + 1, rows.dim(1)}, NAN);
+  out.copy_into_rows(0, rows.slice_rows(0, at));
+  out.copy_into_rows(at + 1, rows.slice_rows(at, rows.dim(0)));
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.nbytes()) == 0;
+}
+
+bool all_nan(const Tensor& t) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (!std::isnan(t.at(i))) return false;
+  }
+  return true;
+}
+
+TEST(Expert, ContiguousRunWritesInPlaceLikeGatherAndDense) {
+  for (ActivationKind act : {ActivationKind::kReLU, ActivationKind::kGELU}) {
+    Rng rng(22);
+    ExpertFFN expert(16, 40, act, rng);
+    // Rows [2, 11) of a 13-row buffer as three in-order spans, one of
+    // them empty: one contiguous run, so the row ops work on views.
+    const RowSpanList run = {{2, 4}, {6, 0}, {6, 5}};
+    const std::int64_t r0 = 2, r1 = 11;
+    Tensor in = Tensor::full(Shape{13, 16}, NAN);
+    in.copy_into_rows(r0, random_tokens(r1 - r0, 16, rng));
+    Tensor mid_buf = Tensor::full(Shape{13, 40}, NAN);
+    Tensor out_buf = Tensor::full(Shape{13, 16}, NAN);
+    expert.forward_rows(in, run, mid_buf, out_buf);
+
+    // Rows outside the run keep their NaN sentinels.
+    for (const Tensor* buf : {&mid_buf, &out_buf}) {
+      EXPECT_TRUE(all_nan(buf->slice_rows(0, r0)));
+      EXPECT_TRUE(all_nan(buf->slice_rows(r1, 13)));
+    }
+    // Dense forward on the same rows: bitwise equal.
+    Tensor dense_mid;
+    const Tensor dense_out = expert.forward(in.slice_rows(r0, r1), dense_mid);
+    EXPECT_TRUE(same_bits(mid_buf.slice_rows(r0, r1), dense_mid));
+    EXPECT_TRUE(same_bits(out_buf.slice_rows(r0, r1), dense_out));
+
+    // The gathered path over the same rows with a gap: bitwise equal.
+    const RowSpanList gapped = {{0, 5}, {6, 4}};
+    Tensor in_g = with_gap(in.slice_rows(r0, r1), 5);
+    Tensor mid_g(Shape{10, 40}), out_g(Shape{10, 16});
+    expert.forward_rows(in_g, gapped, mid_g, out_g);
+    for (const auto& [view, gathered] :
+         {std::pair{&mid_buf, &mid_g}, std::pair{&out_buf, &out_g}}) {
+      EXPECT_TRUE(same_bits(view->slice_rows(r0, r0 + 5),
+                            gathered->slice_rows(0, 5)));
+      EXPECT_TRUE(same_bits(view->slice_rows(r0 + 5, r1),
+                            gathered->slice_rows(6, 10)));
+    }
+
+    // The pipeline's split stages (C1, recompute, C2) on views agree too.
+    Tensor mid2 = Tensor::full(Shape{13, 40}, NAN);
+    Tensor mid3 = Tensor::full(Shape{13, 40}, NAN);
+    Tensor out2 = Tensor::full(Shape{13, 16}, NAN);
+    expert.forward_mid_rows(in, run, mid2);
+    expert.recompute_mid_rows(in, run, mid3);
+    expert.forward_out_rows(mid2, run, out2);
+    for (const Tensor* t : {&mid2, &mid3}) {
+      EXPECT_TRUE(same_bits(t->slice_rows(r0, r1), dense_mid));
+      EXPECT_TRUE(all_nan(t->slice_rows(0, r0)));
+      EXPECT_TRUE(all_nan(t->slice_rows(r1, 13)));
+    }
+    EXPECT_TRUE(same_bits(out2.slice_rows(r0, r1), dense_out));
+    EXPECT_TRUE(all_nan(out2.slice_rows(0, r0)));
+    EXPECT_TRUE(all_nan(out2.slice_rows(r1, 13)));
+
+    // Empty and zero-count span lists are no-ops on every buffer.
+    for (const RowSpanList& none : {RowSpanList{}, RowSpanList{{4, 0}}}) {
+      const Tensor mid0 = mid_buf.clone(), out0 = out_buf.clone();
+      expert.forward_rows(in, none, mid_buf, out_buf);
+      expert.forward_mid_rows(in, none, mid_buf);
+      expert.recompute_mid_rows(in, none, mid_buf);
+      expert.forward_out_rows(mid_buf, none, out_buf);
+      EXPECT_TRUE(same_bits(mid_buf, mid0));
+      EXPECT_TRUE(same_bits(out_buf, out0));
+    }
+  }
 }
 
 TEST(LayerNorm, NormalisesRows) {

@@ -1,5 +1,6 @@
 #include "comm/all_to_all.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -119,15 +120,65 @@ double alltoall_duration(const ProcessGroup& group,
       bytes_per_device, group.devices(), payload_dtype);
 }
 
-void declare_segment_accesses(sim::Op& op,
-                              const std::vector<RowSegment>& segments) {
+namespace {
+
+/// One buffer's share of a segment table: the hull of its ranges and the
+/// bytes they cover (overlaps counted twice).
+struct BufferHull {
+  const void* id;
+  std::int64_t begin;
+  std::int64_t end;
+  std::int64_t covered;
+};
+
+/// Appends to `out` the declaration of every range `range_of` yields for
+/// the segments: per buffer, the hull as one range when the covered bytes
+/// fill it, else the individual ranges. The hull always contains every
+/// range; when the ranges are disjoint and fill it, it is exactly their
+/// union.
+template <typename RangeOf>
+void declare_ranges(std::vector<sim::BufferAccess>& out,
+                    const std::vector<RowSegment>& segments,
+                    RangeOf range_of) {
+  std::vector<BufferHull> hulls;
   for (const RowSegment& seg : segments) {
     if (seg.rows == 0) continue;
+    const sim::BufferAccess a = range_of(seg);
+    auto it = std::find_if(hulls.begin(), hulls.end(),
+                           [&](const BufferHull& h) { return h.id == a.id; });
+    if (it == hulls.end()) {
+      hulls.push_back({a.id, a.begin, a.end, a.end - a.begin});
+      continue;
+    }
+    it->begin = std::min(it->begin, a.begin);
+    it->end = std::max(it->end, a.end);
+    it->covered += a.end - a.begin;
+  }
+  for (const BufferHull& h : hulls) {
+    if (h.covered == h.end - h.begin) {
+      out.push_back({h.id, h.begin, h.end});
+      continue;
+    }
+    for (const RowSegment& seg : segments) {
+      if (seg.rows == 0) continue;
+      const sim::BufferAccess a = range_of(seg);
+      if (a.id == h.id) out.push_back(a);
+    }
+  }
+}
+
+}  // namespace
+
+void declare_segment_accesses(sim::Op& op,
+                              const std::vector<RowSegment>& segments) {
+  declare_ranges(op.reads, segments, [](const RowSegment& seg) {
     MPIPE_EXPECTS(seg.src != nullptr && seg.dst != nullptr,
                   "segment with null tensor");
-    op.reads.push_back(sim::access_rows(*seg.src, seg.src_row, seg.rows));
-    op.writes.push_back(sim::access_rows(*seg.dst, seg.dst_row, seg.rows));
-  }
+    return sim::access_rows(*seg.src, seg.src_row, seg.rows);
+  });
+  declare_ranges(op.writes, segments, [](const RowSegment& seg) {
+    return sim::access_rows(*seg.dst, seg.dst_row, seg.rows);
+  });
 }
 
 int alltoall(sim::OpGraph& graph, const ProcessGroup& group,

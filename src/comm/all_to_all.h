@@ -59,9 +59,15 @@ void apply_segments_guarded(const std::vector<RowSegment>& segments,
                             std::string_view label,
                             DType payload_dtype = DType::kF32);
 
-/// Appends the hazard declarations a segment table implies to `op`: each
-/// segment reads its source rows and writes its destination rows. Zero-row
-/// segments are skipped. Used by every segment-driven comm op so the
+/// Appends the hazard declarations a segment table implies to `op`: the
+/// segments read their source rows and write their destination rows.
+/// Zero-row segments are skipped. Ranges are declared per buffer: when the
+/// segments' ranges on a buffer cover as many bytes as their hull, the
+/// hull is declared as one range; otherwise each range is declared. The
+/// declared set always contains every byte the copy touches, and equals
+/// their union when the ranges on a buffer are pairwise disjoint — so a
+/// per-token table declares at most one read and one write range per
+/// participating buffer. Used by every segment-driven comm op so the
 /// declarations can never drift from what apply_segments actually copies.
 void declare_segment_accesses(sim::Op& op,
                               const std::vector<RowSegment>& segments);

@@ -208,6 +208,10 @@ class MoELayer {
   moe::ExpertFFN& expert(int device, int local_index);
 
  private:
+  /// Tests build a step's graphs through the private setup without
+  /// running them, to check the hazard validator on real schedules.
+  friend class MoELayerTestAccess;
+
   sim::ExecutionPolicy exec_policy() const {
     return options_.parallel_execution ? sim::ExecutionPolicy::kParallel
                                        : sim::ExecutionPolicy::kSerial;

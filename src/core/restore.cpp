@@ -247,15 +247,14 @@ void offload_rows(mem::HostStaging& staging, int device,
   // step replayed after a mid-forward fault starts from an empty store. A
   // collision therefore means two ring slots mapped to one key, which must
   // fail loudly rather than mask a double-stash.
-  staging.store(device, key, buf.slice_rows(0, rows),
+  // The store's copy is the only one: it reads the rows in place.
+  staging.store(device, key, buf.row_view(0, rows),
                 /*allow_overwrite=*/false, dtype);
 }
 
 void prefetch_rows(mem::HostStaging& staging, int device,
                    const std::string& key, Tensor& buf) {
-  Tensor staged = staging.load(device, key);
-  buf.copy_into_rows(0, staged);
-  staging.drop(device, key);
+  buf.copy_into_rows(0, staging.take(device, key));
 }
 
 }  // namespace mpipe::core

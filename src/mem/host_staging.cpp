@@ -48,6 +48,18 @@ Tensor HostStaging::load(int device, const std::string& key) const {
   return staged.clone();  // ...deep copy outside it
 }
 
+Tensor HostStaging::take(int device, const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = store_.find(std::make_pair(device, key));
+  MPIPE_EXPECTS(it != store_.end(),
+                "no staged tensor for device " + std::to_string(device) +
+                    " key '" + key + "'");
+  Tensor staged = std::move(it->second.t);
+  bytes_ -= it->second.bytes;
+  store_.erase(it);
+  return staged;
+}
+
 bool HostStaging::contains(int device, const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return store_.count(std::make_pair(device, key)) > 0;

@@ -24,7 +24,8 @@ namespace mpipe::mem {
 
 class HostStaging {
  public:
-  /// Stores a copy of `t` under (device, key). A collision with a live
+  /// Stores a copy of `t` under (device, key); `t` may be a row view, and
+  /// only its rows are copied. A collision with a live
   /// entry is a CheckError by default: every offload key is supposed to be
   /// consumed (load + drop) or cleared before the slot is written again, so
   /// a double-store means two ring slots resolved to the same key — exactly
@@ -40,8 +41,15 @@ class HostStaging {
   void store(int device, const std::string& key, const Tensor& t,
              bool allow_overwrite = false, DType dtype = DType::kF32);
 
-  /// Retrieves a copy; throws if absent.
+  /// Retrieves a copy; throws if absent. The entry stays staged.
   Tensor load(int device, const std::string& key) const;
+
+  /// Removes the entry and hands its tensor over without copying; throws
+  /// if absent. bytes_stored() and entries() drop by the entry, exactly as
+  /// after load + drop, so a second take or load of the key throws. The
+  /// prefetch path uses this: the staged rows are read once, straight into
+  /// the device buffer, where load + drop would copy them twice.
+  Tensor take(int device, const std::string& key);
 
   bool contains(int device, const std::string& key) const;
 

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "runtime/checkpoint.h"
 #include "tensor/ops.h"
 
@@ -93,13 +94,21 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
     auto targets = workload_.targets_for(batch);
     auto outputs = layer_->forward(batch);
 
+    // Each device's loss and gradient on the shared pool; the losses are
+    // then added in device order, the same sum as a serial loop.
+    std::vector<double> device_loss(outputs.size(), 0.0);
+    std::vector<Tensor> grads(outputs.size());
+    ThreadPool::shared().parallel_for(
+        outputs.size(),
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t d = begin; d < end; ++d) {
+            device_loss[d] = mse_loss(outputs[d], targets[d]);
+            grads[d] = mse_loss_grad(outputs[d], targets[d]);
+          }
+        },
+        /*grain=*/1);
     double loss = 0.0;
-    std::vector<Tensor> grads;
-    grads.reserve(outputs.size());
-    for (std::size_t d = 0; d < outputs.size(); ++d) {
-      loss += mse_loss(outputs[d], targets[d]);
-      grads.push_back(mse_loss_grad(outputs[d], targets[d]));
-    }
+    for (double l : device_loss) loss += l;
     loss /= static_cast<double>(outputs.size());
 
     if (guard && !std::isfinite(loss)) {

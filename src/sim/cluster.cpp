@@ -45,10 +45,32 @@ void Cluster::set_fault_injection(FaultInjectionConfig config) {
 
 void Cluster::clear_fault_injection() { fault_injector_.reset(); }
 
+namespace {
+
+/// Runs the closures of a validated graph under `policy`.
+void run_closures(const OpGraph& graph, const OpGraph::DependencyView& view,
+                  ExecutionPolicy policy, ExecutionProfile* profile) {
+  if (policy == ExecutionPolicy::kParallel && !graph.is_timing_only()) {
+    // Prove the schedule safe before overlapping it: every op pair the
+    // dependency graph leaves unordered must have declared, disjoint
+    // read/write sets. The proof runs on every execution (sim/README.md
+    // says why a cached verdict would be wrong).
+    validate_hazards(graph, view);
+    run_graph_parallel(graph, view, ThreadPool::shared(), profile);
+    return;
+  }
+  run_graph_serial(graph, view, profile);
+}
+
+}  // namespace
+
 TimingResult Cluster::run(const OpGraph& graph, ExecutionPolicy policy,
                           ExecutionProfile* profile) {
-  run_functional(graph, policy, profile);
-  return time_only(graph);
+  // One dependency analysis serves validation, the hazard proof, the
+  // executor and the timing engine.
+  const OpGraph::DependencyView view = graph.validate(num_devices());
+  run_closures(graph, view, policy, profile);
+  return TimingEngine(interference_, num_devices()).run(graph, view);
 }
 
 TimingResult Cluster::time_only(const OpGraph& graph) {
@@ -58,16 +80,7 @@ TimingResult Cluster::time_only(const OpGraph& graph) {
 
 void Cluster::run_functional(const OpGraph& graph, ExecutionPolicy policy,
                              ExecutionProfile* profile) {
-  graph.validate(num_devices());
-  if (policy == ExecutionPolicy::kParallel && !graph.is_timing_only()) {
-    // Prove the schedule safe before overlapping it: every op pair the
-    // dependency graph leaves unordered must have declared, disjoint
-    // read/write sets.
-    validate_hazards(graph);
-    run_graph_parallel(graph, ThreadPool::shared(), profile);
-    return;
-  }
-  run_graph_serial(graph, profile);
+  run_closures(graph, graph.validate(num_devices()), policy, profile);
 }
 
 }  // namespace mpipe::sim

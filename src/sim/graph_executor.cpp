@@ -1,10 +1,12 @@
 #include "sim/graph_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -23,7 +25,10 @@ namespace {
 /// lock while propagating.
 struct ExecState {
   const OpGraph* graph = nullptr;
-  std::vector<std::vector<int>> succ;
+  /// Successor lists of the caller's dependency view. Like `graph`, read
+  /// only while ops remain: every propagation happens before `done`
+  /// reaches `total`, and the caller does not return before that.
+  const std::vector<std::vector<int>>* succ = nullptr;
   std::vector<std::atomic<int>> pending;
   std::mutex mu;
   std::condition_variable cv;
@@ -74,7 +79,7 @@ struct ExecState {
       }
 
       std::vector<int> newly_ready;
-      for (int next : succ[static_cast<std::size_t>(id)]) {
+      for (int next : (*succ)[static_cast<std::size_t>(id)]) {
         if (pending[static_cast<std::size_t>(next)].fetch_sub(
                 1, std::memory_order_acq_rel) == 1) {
           newly_ready.push_back(next);
@@ -102,21 +107,27 @@ std::string access_list(const std::vector<BufferAccess>& v) {
   return os.str();
 }
 
-bool any_overlap(const std::vector<BufferAccess>& a,
-                 const std::vector<BufferAccess>& b) {
-  for (const BufferAccess& x : a) {
-    for (const BufferAccess& y : b) {
-      if (x.overlaps(y)) return true;
-    }
-  }
-  return false;
+std::string conflict_message(const OpGraph& graph, int x, int y) {
+  const Op& a = graph.op(std::min(x, y));
+  const Op& b = graph.op(std::max(x, y));
+  return "hazard validation: ops '" + a.label + "' and '" + b.label +
+         "' are unordered (no dependency path, different streams) but "
+         "touch overlapping memory — a WAR/WAW/RAW edge is missing.\n  " +
+         a.label + " writes:" + access_list(a.writes) + "\n  " + b.label +
+         " writes:" + access_list(b.writes);
 }
 
 }  // namespace
 
 void run_graph_serial(const OpGraph& graph, ExecutionProfile* profile) {
+  run_graph_serial(graph, graph.dependency_view(), profile);
+}
+
+void run_graph_serial(const OpGraph& graph,
+                      const OpGraph::DependencyView& view,
+                      ExecutionProfile* profile) {
   if (profile) profile->begin(graph.size());
-  for (int id : graph.topo_order()) {
+  for (int id : view.order) {
     const Op& op = graph.op(id);
     const std::int64_t start_ns = profile ? ExecutionProfile::now_ns() : 0;
     if (op.fn) op.fn();
@@ -129,6 +140,12 @@ void run_graph_serial(const OpGraph& graph, ExecutionProfile* profile) {
 
 void run_graph_parallel(const OpGraph& graph, ThreadPool& pool,
                         ExecutionProfile* profile) {
+  run_graph_parallel(graph, graph.dependency_view(), pool, profile);
+}
+
+void run_graph_parallel(const OpGraph& graph,
+                        const OpGraph::DependencyView& view, ThreadPool& pool,
+                        ExecutionProfile* profile) {
   const int total = graph.size();
   if (total == 0) {
     if (profile) profile->begin(0);
@@ -139,14 +156,13 @@ void run_graph_parallel(const OpGraph& graph, ThreadPool& pool,
     // could starve the pool; with one worker (or one op) there is nothing
     // to overlap. Degrade to the reference order — bitwise identical by
     // construction.
-    run_graph_serial(graph, profile);
+    run_graph_serial(graph, view, profile);
     return;
   }
 
   auto state = std::make_shared<ExecState>(total);
   state->graph = &graph;
-  OpGraph::DependencyView view = graph.dependency_view();
-  state->succ = std::move(view.successors);
+  state->succ = &view.successors;
   state->total = total;
   if (profile) {
     profile->begin(total);
@@ -174,6 +190,11 @@ void run_graph_parallel(const OpGraph& graph, ThreadPool& pool,
 }
 
 void validate_hazards(const OpGraph& graph) {
+  validate_hazards(graph, graph.dependency_view());
+}
+
+void validate_hazards(const OpGraph& graph,
+                      const OpGraph::DependencyView& view) {
   const int n = graph.size();
   std::vector<int> functional;
   for (const Op& op : graph.ops()) {
@@ -183,12 +204,10 @@ void validate_hazards(const OpGraph& graph) {
 
   // Reachability over explicit deps + stream FIFO edges, as one bitset row
   // per op, filled in topological order: reach[v] accumulates every
-  // ancestor of v. topo_order() also proves acyclicity first.
-  const std::vector<int> order = graph.topo_order();
-  const OpGraph::DependencyView view = graph.dependency_view();
+  // ancestor of v.
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   std::vector<std::uint64_t> reach(static_cast<std::size_t>(n) * words, 0);
-  for (int u : order) {
+  for (int u : view.order) {
     const std::uint64_t* ru = &reach[static_cast<std::size_t>(u) * words];
     for (int v : view.successors[static_cast<std::size_t>(u)]) {
       std::uint64_t* rv = &reach[static_cast<std::size_t>(v) * words];
@@ -203,34 +222,82 @@ void validate_hazards(const OpGraph& graph) {
             (static_cast<std::size_t>(a) % 64)) &
            1u;
   };
+  auto unordered = [&](int a, int b) {
+    return !is_ancestor(a, b) && !is_ancestor(b, a);
+  };
 
-  for (std::size_t i = 0; i < functional.size(); ++i) {
-    for (std::size_t j = i + 1; j < functional.size(); ++j) {
-      const Op& a = graph.op(functional[i]);
-      const Op& b = graph.op(functional[j]);
-      if (is_ancestor(a.id, b.id) || is_ancestor(b.id, a.id)) continue;
-      // a and b may run at the same time.
-      for (const Op* op : {&a, &b}) {
-        MPIPE_CHECK(!op->reads.empty() || !op->writes.empty(),
-                    "hazard validation: op '" + op->label +
-                        "' has a functional closure but declares no "
-                        "read/write buffer accesses, and is unordered "
-                        "against '" +
-                        (op == &a ? b.label : a.label) +
-                        "' — an undeclared closure cannot be proven safe "
-                        "for concurrent execution");
-      }
-      const bool war_or_waw = any_overlap(a.writes, b.writes) ||
-                              any_overlap(a.writes, b.reads) ||
-                              any_overlap(b.writes, a.reads);
-      MPIPE_CHECK(
-          !war_or_waw,
-          "hazard validation: ops '" + a.label + "' and '" + b.label +
-              "' are unordered (no dependency path, different streams) but "
-              "touch overlapping memory — a WAR/WAW/RAW edge is missing.\n  " +
-              a.label + " writes:" + access_list(a.writes) + "\n  " +
-              b.label + " writes:" + access_list(b.writes));
+  // An undeclared closure is unverifiable: it may not run next to any
+  // other closure.
+  for (int id : functional) {
+    const Op& op = graph.op(id);
+    if (!op.reads.empty() || !op.writes.empty()) continue;
+    for (int other : functional) {
+      MPIPE_CHECK(other == id || !unordered(id, other),
+                  "hazard validation: op '" + op.label +
+                      "' has a functional closure but declares no "
+                      "read/write buffer accesses, and is unordered "
+                      "against '" +
+                      graph.op(other).label +
+                      "' — an undeclared closure cannot be proven safe "
+                      "for concurrent execution");
     }
+  }
+
+  // Every non-empty declared range, sorted by (buffer, begin). Within one
+  // buffer a sweep keeps the ranges that still extend past the current
+  // begin; exactly those intersect the current range. Reads and writes are
+  // kept apart so read/read pairs, which never conflict, cost nothing.
+  struct Span {
+    const void* buffer;
+    std::int64_t begin;
+    std::int64_t end;
+    int op;
+    bool write;
+  };
+  std::vector<Span> spans;
+  for (int id : functional) {
+    const Op& op = graph.op(id);
+    for (const BufferAccess& a : op.reads) {
+      if (a.begin < a.end) spans.push_back({a.id, a.begin, a.end, id, false});
+    }
+    for (const BufferAccess& a : op.writes) {
+      if (a.begin < a.end) spans.push_back({a.id, a.begin, a.end, id, true});
+    }
+  }
+  std::sort(spans.begin(), spans.end(), [](const Span& x, const Span& y) {
+    if (x.buffer != y.buffer) {
+      return std::less<const void*>()(x.buffer, y.buffer);
+    }
+    return x.begin < y.begin;
+  });
+
+  std::vector<std::size_t> live_reads;
+  std::vector<std::size_t> live_writes;
+  auto retire = [&](std::vector<std::size_t>& live, std::int64_t begin) {
+    std::size_t kept = 0;
+    for (std::size_t k : live) {
+      if (spans[k].end > begin) live[kept++] = k;
+    }
+    live.resize(kept);
+  };
+  auto check = [&](const std::vector<std::size_t>& live, const Span& s) {
+    for (std::size_t k : live) {
+      const int other = spans[k].op;
+      MPIPE_CHECK(other == s.op || !unordered(other, s.op),
+                  conflict_message(graph, other, s.op));
+    }
+  };
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    if (i > 0 && spans[i - 1].buffer != s.buffer) {
+      live_reads.clear();
+      live_writes.clear();
+    }
+    retire(live_reads, s.begin);
+    retire(live_writes, s.begin);
+    check(live_writes, s);
+    if (s.write) check(live_reads, s);
+    (s.write ? live_writes : live_reads).push_back(i);
   }
 }
 

@@ -10,9 +10,10 @@
 /// they run inline, so op-level and kernel-level parallelism compose
 /// without deadlock.
 ///
-/// Safety is proved, not assumed: validate_hazards() checks every pair of
-/// ops the dependency graph leaves unordered for disjoint declared
-/// read/write byte ranges (Op::reads / Op::writes). The ring-buffer WAR
+/// Safety is proved, not assumed: validate_hazards() checks that every two
+/// ops the dependency graph leaves unordered declare disjoint read/write
+/// byte ranges (Op::reads / Op::writes), in one sorted sweep over all
+/// declared ranges. The ring-buffer WAR
 /// edges of §III-D reuse already encode most of the ordering; the
 /// validator is what catches a missing edge before it becomes a data race.
 /// Because all cross-op ordering comes from graph edges — never from
@@ -48,12 +49,20 @@ enum class ExecutionPolicy {
 /// behaviour bit for bit).
 void run_graph_parallel(const OpGraph& graph, ThreadPool& pool,
                         ExecutionProfile* profile = nullptr);
+/// The same, scheduling against a dependency view the caller already
+/// computed for this graph (OpGraph::validate / dependency_view).
+void run_graph_parallel(const OpGraph& graph,
+                        const OpGraph::DependencyView& view, ThreadPool& pool,
+                        ExecutionProfile* profile = nullptr);
 
 /// The serial reference order (deterministic Kahn topo order), optionally
 /// profiled the same way (every op records worker 0). This is the loop
 /// Cluster::run_functional uses under ExecutionPolicy::kSerial and the
 /// degraded path run_graph_parallel falls back to.
 void run_graph_serial(const OpGraph& graph,
+                      ExecutionProfile* profile = nullptr);
+void run_graph_serial(const OpGraph& graph,
+                      const OpGraph::DependencyView& view,
                       ExecutionProfile* profile = nullptr);
 
 /// Throws CheckError naming the offending op pair when two ops that the
@@ -64,6 +73,14 @@ void run_graph_serial(const OpGraph& graph,
 /// ops (no closure) are ignored. Cluster::run_functional calls this
 /// before every parallel execution; tests call it directly on
 /// deliberately broken graphs.
+///
+/// The declared ranges of all functional ops are sorted by (buffer,
+/// begin) and swept once per buffer, so only ranges that actually
+/// intersect are compared; each intersecting pair with a write is then
+/// checked for a dependency path in a per-op ancestor bitset.
 void validate_hazards(const OpGraph& graph);
+/// The same proof against a dependency view already computed for `graph`.
+void validate_hazards(const OpGraph& graph,
+                      const OpGraph::DependencyView& view);
 
 }  // namespace mpipe::sim

@@ -1,10 +1,10 @@
 #include "sim/op_graph.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <queue>
 
 #include "common/check.h"
-#include "sim/event_queue.h"
 
 namespace mpipe::sim {
 
@@ -64,28 +64,55 @@ Op& OpGraph::op(int id) {
 OpGraph::DependencyView OpGraph::dependency_view() const {
   // Adjacency over explicit deps plus the implicit FIFO edge from each
   // stream's previous op to the next one enqueued on the same stream.
+  const std::size_t n = ops_.size();
   DependencyView view;
-  view.successors.resize(ops_.size());
-  view.in_degree.assign(ops_.size(), 0);
+  view.successors.resize(n);
+  view.in_degree.assign(n, 0);
+  int max_device = -1;
   for (const Op& op : ops_) {
     for (int dep : op.deps) {
       view.successors[static_cast<std::size_t>(dep)].push_back(op.id);
       ++view.in_degree[static_cast<std::size_t>(op.id)];
     }
-  }
-  std::map<std::pair<int, int>, int> last_on_stream;  // (device, kind) -> id
-  for (const Op& op : ops_) {
     for (int device : op.devices) {
-      const auto key = std::make_pair(device, static_cast<int>(op.stream));
-      auto it = last_on_stream.find(key);
-      if (it != last_on_stream.end()) {
-        view.successors[static_cast<std::size_t>(it->second)]
-            .push_back(op.id);
-        ++view.in_degree[static_cast<std::size_t>(op.id)];
-      }
-      last_on_stream[key] = op.id;
+      MPIPE_CHECK(device >= 0,
+                  "op '" + op.label + "' references a negative device");
+      max_device = std::max(max_device, device);
     }
   }
+  // Last op enqueued per (device, kind) stream; -1 while the stream is idle.
+  std::vector<int> last_on_stream(
+      static_cast<std::size_t>(max_device + 1) * kNumStreamKinds, -1);
+  for (const Op& op : ops_) {
+    for (int device : op.devices) {
+      int& last = last_on_stream[static_cast<std::size_t>(device) *
+                                     kNumStreamKinds +
+                                 static_cast<std::size_t>(op.stream)];
+      if (last >= 0) {
+        view.successors[static_cast<std::size_t>(last)].push_back(op.id);
+        ++view.in_degree[static_cast<std::size_t>(op.id)];
+      }
+      last = op.id;
+    }
+  }
+
+  // Kahn's algorithm, always taking the smallest ready id.
+  std::vector<int> in_deg = view.in_degree;
+  std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
+  for (std::size_t id = 0; id < n; ++id) {
+    if (in_deg[id] == 0) ready.push(static_cast<int>(id));
+  }
+  view.order.reserve(n);
+  while (!ready.empty()) {
+    const int id = ready.top();
+    ready.pop();
+    view.order.push_back(id);
+    for (int next : view.successors[static_cast<std::size_t>(id)]) {
+      if (--in_deg[static_cast<std::size_t>(next)] == 0) ready.push(next);
+    }
+  }
+  MPIPE_CHECK(view.order.size() == n,
+              "op graph has a cycle (deps conflict with stream FIFO order)");
   return view;
 }
 
@@ -96,45 +123,25 @@ bool OpGraph::is_timing_only() const {
   return true;
 }
 
-void OpGraph::validate(int num_devices) const {
+OpGraph::DependencyView OpGraph::validate(int num_devices) const {
   for (const Op& op : ops_) {
     for (int device : op.devices) {
       MPIPE_CHECK(device >= 0 && device < num_devices,
                   "op '" + op.label + "' references device out of range");
     }
     // A collective occupies each participant exactly once.
+    if (op.devices.size() <= 1) continue;
     std::vector<int> devs = op.devices;
     std::sort(devs.begin(), devs.end());
     MPIPE_CHECK(std::adjacent_find(devs.begin(), devs.end()) == devs.end(),
                 "op '" + op.label + "' lists a device twice");
   }
   // Cycle check over the combined graph.
-  (void)topo_order();
+  return dependency_view();
 }
 
 std::vector<int> OpGraph::topo_order() const {
-  DependencyView view = dependency_view();
-  std::vector<int>& in_deg = view.in_degree;
-  EventQueue<int> ready;
-  for (const Op& op : ops_) {
-    if (in_deg[static_cast<std::size_t>(op.id)] == 0) {
-      ready.push(static_cast<double>(op.id), op.id);
-    }
-  }
-  std::vector<int> order;
-  order.reserve(ops_.size());
-  while (!ready.empty()) {
-    const int id = ready.pop();
-    order.push_back(id);
-    for (int next : view.successors[static_cast<std::size_t>(id)]) {
-      if (--in_deg[static_cast<std::size_t>(next)] == 0) {
-        ready.push(static_cast<double>(next), next);
-      }
-    }
-  }
-  MPIPE_CHECK(order.size() == ops_.size(),
-              "op graph has a cycle (deps conflict with stream FIFO order)");
-  return order;
+  return dependency_view().order;
 }
 
 }  // namespace mpipe::sim

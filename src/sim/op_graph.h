@@ -37,7 +37,8 @@ struct BufferAccess {
   std::int64_t end = std::numeric_limits<std::int64_t>::max();
 
   bool overlaps(const BufferAccess& other) const {
-    return id == other.id && begin < other.end && other.begin < end;
+    return id == other.id && begin < end && other.begin < other.end &&
+           begin < other.end && other.begin < end;
   }
 };
 
@@ -122,23 +123,30 @@ class OpGraph {
   int size() const { return static_cast<int>(ops_.size()); }
   const std::vector<Op>& ops() const { return ops_; }
 
-  /// Checks the DAG including the implicit per-stream FIFO edges; throws
-  /// CheckError on cycles, bad deps, or bad device ids.
-  void validate(int num_devices) const;
-
-  /// Deterministic topological order (Kahn, min-id first) over explicit
-  /// deps + stream FIFO edges. validate() must hold.
-  std::vector<int> topo_order() const;
-
   /// The dependency structure the executors schedule against: successor
   /// lists and in-degrees over explicit deps *plus* the implicit per-stream
   /// FIFO edges (duplicate edges between the same pair are kept, so
-  /// in-degree counts match successor multiplicity).
+  /// in-degree counts match successor multiplicity), and the deterministic
+  /// topological order over them (Kahn, min-id first). Computing the order
+  /// proves the graph acyclic. One view serves every consumer of one
+  /// execution — validation, the hazard proof, the serial and parallel
+  /// executors and the timing engine — so a graph is analysed once per run.
   struct DependencyView {
     std::vector<std::vector<int>> successors;
     std::vector<int> in_degree;
+    std::vector<int> order;
   };
+  /// Throws CheckError on a cycle.
   DependencyView dependency_view() const;
+
+  /// Checks the DAG including the implicit per-stream FIFO edges; throws
+  /// CheckError on cycles, bad deps, or bad device ids. Returns the
+  /// dependency view the check computed, for reuse by the executors.
+  DependencyView validate(int num_devices) const;
+
+  /// Deterministic topological order (Kahn, min-id first) over explicit
+  /// deps + stream FIFO edges; throws on a cycle.
+  std::vector<int> topo_order() const;
 
   /// True when no op carries a functional closure (probe/timing graphs).
   bool is_timing_only() const;

@@ -81,11 +81,10 @@ MeasuredTimeline build_timeline(const OpGraph& graph,
   // graph (explicit deps + stream FIFO edges), over the recorded subgraph.
   // Processing in topological order makes each op's best predecessor final
   // before its successors look at it.
-  const std::vector<int> order = graph.topo_order();
   const OpGraph::DependencyView view = graph.dependency_view();
   std::vector<double> path_cost(static_cast<std::size_t>(graph.size()), 0.0);
   std::vector<int> best_pred(static_cast<std::size_t>(graph.size()), -1);
-  for (int u : order) {
+  for (int u : view.order) {
     const MeasuredOp& m = tl.ops[static_cast<std::size_t>(u)];
     if (m.id >= 0) path_cost[static_cast<std::size_t>(u)] += m.seconds();
     for (int v : view.successors[static_cast<std::size_t>(u)]) {

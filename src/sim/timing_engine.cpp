@@ -1,9 +1,7 @@
 #include "sim/timing_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <map>
 
 #include "common/check.h"
 
@@ -35,8 +33,11 @@ struct RunningOp {
 }  // namespace
 
 TimingResult TimingEngine::run(const OpGraph& graph) {
-  graph.validate(num_devices_);
+  return run(graph, graph.validate(num_devices_));
+}
 
+TimingResult TimingEngine::run(const OpGraph& graph,
+                               const OpGraph::DependencyView& view) {
   const int n = graph.size();
   TimingResult result;
   result.op_times.assign(static_cast<std::size_t>(n), OpTiming{});
@@ -44,20 +45,29 @@ TimingResult TimingEngine::run(const OpGraph& graph) {
   result.weighted_compute.assign(static_cast<std::size_t>(num_devices_), 0.0);
   if (n == 0) return result;
 
-  // Stream FIFO queues: (device, kind) -> op ids in insertion order.
-  std::map<std::pair<int, int>, std::deque<int>> queues;
-  std::vector<int> unmet_deps(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> dependents(static_cast<std::size_t>(n));
+  // Stream FIFO queues, indexed device * kNumStreamKinds + kind: op ids in
+  // insertion order, consumed from `head`.
+  struct StreamQueue {
+    std::vector<int> ids;
+    std::size_t head = 0;
+    bool empty() const { return head == ids.size(); }
+    int front() const { return ids[head]; }
+  };
+  std::vector<StreamQueue> queues(static_cast<std::size_t>(num_devices_) *
+                                  kNumStreamKinds);
+  auto queue_of = [&](int device, StreamKind kind) -> StreamQueue& {
+    return queues[static_cast<std::size_t>(device) * kNumStreamKinds +
+                  static_cast<std::size_t>(kind)];
+  };
   for (const Op& op : graph.ops()) {
-    unmet_deps[static_cast<std::size_t>(op.id)] =
-        static_cast<int>(op.deps.size());
-    for (int dep : op.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(op.id);
-    }
     for (int device : op.devices) {
-      queues[{device, static_cast<int>(op.stream)}].push_back(op.id);
+      queue_of(device, op.stream).ids.push_back(op.id);
     }
   }
+  // Unmet predecessors over explicit deps and stream FIFO edges. Counting
+  // the FIFO edges changes nothing: an op at the head of all its queues
+  // has already seen its FIFO predecessors complete.
+  std::vector<int> unmet_deps = view.in_degree;
 
   // Which stream kinds are occupied on each device (by a running op).
   std::vector<std::array<bool, kNumStreamKinds>> occupied(
@@ -94,7 +104,7 @@ TimingResult TimingEngine::run(const OpGraph& graph) {
     if (result.op_times[static_cast<std::size_t>(id)].started()) return false;
     const Op& op = graph.op(id);
     for (int device : op.devices) {
-      const auto& q = queues.at({device, static_cast<int>(op.stream)});
+      const StreamQueue& q = queue_of(device, op.stream);
       if (q.empty() || q.front() != id) return false;
       if (occupied[static_cast<std::size_t>(device)][int(op.stream)]) {
         return false;
@@ -108,7 +118,7 @@ TimingResult TimingEngine::run(const OpGraph& graph) {
     while (any_started) {
       any_started = false;
       // Scan stream heads in deterministic (device, kind) order.
-      for (auto& [key, q] : queues) {
+      for (const StreamQueue& q : queues) {
         if (q.empty()) continue;
         const int id = q.front();
         if (!op_startable(id)) continue;
@@ -164,12 +174,13 @@ TimingResult TimingEngine::run(const OpGraph& graph) {
     result.op_times[static_cast<std::size_t>(done_id)].end = now;
     for (int device : done.devices) {
       occupied[static_cast<std::size_t>(device)][int(done.stream)] = false;
-      auto& q = queues.at({device, static_cast<int>(done.stream)});
+      StreamQueue& q = queue_of(device, done.stream);
       MPIPE_CHECK(!q.empty() && q.front() == done_id,
                   "stream FIFO corrupted");
-      q.pop_front();
+      ++q.head;
     }
-    for (int dependent : dependents[static_cast<std::size_t>(done_id)]) {
+    for (int dependent :
+         view.successors[static_cast<std::size_t>(done_id)]) {
       --unmet_deps[static_cast<std::size_t>(dependent)];
     }
     ++completed;

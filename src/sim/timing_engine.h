@@ -50,6 +50,9 @@ class TimingEngine {
 
   /// Simulates the graph; throws on deadlock (validate() failures).
   TimingResult run(const OpGraph& graph);
+  /// The same, against the dependency view OpGraph::validate returned for
+  /// `graph` on this engine's device count.
+  TimingResult run(const OpGraph& graph, const OpGraph::DependencyView& view);
 
  private:
   const InterferenceModel& interference_;

@@ -68,9 +68,9 @@ float Tensor::at(std::int64_t r, std::int64_t c) const {
 
 Tensor Tensor::clone() const {
   if (!defined()) return Tensor();
-  Tensor out(shape_);
-  std::memcpy(out.data(), data(), static_cast<std::size_t>(nbytes()));
-  return out;
+  // Copy-construct the storage: no zero fill ahead of the copy.
+  const float* p = data();
+  return Tensor(shape_, std::vector<float>(p, p + numel()));
 }
 
 Tensor Tensor::slice_rows(std::int64_t row_begin, std::int64_t row_end) const {

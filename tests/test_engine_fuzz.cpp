@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "hazard_reference.h"
 #include "moe/expert.h"
 #include "moe/layer_norm.h"
 #include "sim/calibration.h"
@@ -869,6 +870,110 @@ TEST(GraphExecutorFuzz, PlantedMissingWarEdgeIsRejectedLoudly) {
     g.op(second_id).deps.push_back(first_id);
     EXPECT_NO_THROW(validate_hazards(g)) << "seed " << seed;
   }
+}
+
+TEST(GraphExecutorFuzz, SweepVerdictMatchesPairwiseReference) {
+  // validate_hazards must reject exactly the graphs the pairwise reference
+  // rejects. Graphs: every random_exec_graph shape the executor fuzz runs,
+  // then per graph (a) single explicit deps removed, (b) random ranged
+  // declarations on two shared arenas, empty ranges and whole-buffer
+  // tokens included, and (c) planted WAR/WAW/read-read pairs, unordered
+  // and then ordered.
+  std::vector<ExecFuzzCase> cases = {
+      {101, 0, 1, 0},  {102, 1, 1, 0},  {103, 1, 4, 2},  {104, 7, 1, 0},
+      {105, 16, 2, 1}, {106, 33, 4, 3}, {107, 60, 4, 5}, {108, 45, 8, 2},
+      {109, 24, 3, 4}, {110, 80, 6, 6}, {301, 0, 1, 0},  {302, 1, 1, 0},
+      {303, 16, 2, 1}, {304, 33, 4, 3}, {305, 60, 4, 5}, {306, 45, 8, 2},
+      {401, 12, 2, 1}, {402, 33, 4, 3}, {403, 60, 4, 5}, {404, 45, 8, 2},
+      {405, 80, 6, 6},
+  };
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    cases.push_back({200 + seed, static_cast<int>(seed % 12), 4, 2});
+  }
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    cases.push_back({900 + seed, 1 + static_cast<int>(seed * 7 % 70),
+                     1 + static_cast<int>(seed % 6),
+                     static_cast<int>(seed % 5)});
+  }
+  static float arena_a[32];
+  static float arena_b[32];
+  int accepted = 0;
+  int rejected = 0;
+  auto expect_same = [&](const OpGraph& g, const std::string& what) {
+    const reference::Verdicts v = reference::verdicts(g);
+    EXPECT_EQ(v.sweep, v.reference) << what;
+    ++(v.reference ? rejected : accepted);
+  };
+
+  for (const ExecFuzzCase& c : cases) {
+    const std::string name = "seed " + std::to_string(c.seed);
+    ExecFuzzBuffers buf;
+    const OpGraph g = random_exec_graph(c, buf);
+    expect_same(g, name + " intact");
+    Rng rng(c.seed * 31 + 7);
+
+    for (int k = 0; k < 6 && g.size() > 0; ++k) {
+      const int v = static_cast<int>(
+          rng.uniform_index(static_cast<std::uint64_t>(g.size())));
+      if (g.op(v).deps.empty()) continue;
+      OpGraph broken = g;
+      auto& deps = broken.op(v).deps;
+      deps.erase(deps.begin() + static_cast<std::ptrdiff_t>(rng.uniform_index(
+                                    deps.size())));
+      expect_same(broken, name + " dep removed from op" + std::to_string(v));
+    }
+
+    for (int k = 0; k < 4; ++k) {
+      OpGraph ranged = g;
+      for (int id = 0; id < ranged.size(); ++id) {
+        if (rng.uniform() < 0.5) continue;
+        Op& op = ranged.op(id);
+        const int accesses = 1 + static_cast<int>(rng.uniform_index(3));
+        for (int a = 0; a < accesses; ++a) {
+          float* arena = rng.uniform() < 0.5 ? arena_a : arena_b;
+          BufferAccess access =
+              rng.uniform() < 0.1
+                  ? access_token(arena)
+                  : access_floats(
+                        arena,
+                        static_cast<std::int64_t>(rng.uniform_index(32)),
+                        static_cast<std::int64_t>(rng.uniform_index(6)));
+          (rng.uniform() < 0.3 ? op.writes : op.reads).push_back(access);
+        }
+      }
+      expect_same(ranged, name + " ranged " + std::to_string(k));
+    }
+
+    for (int kind = 0; kind < 3; ++kind) {
+      static float shared_slot = 0.0f;
+      OpGraph planted = g;
+      Op first;
+      first.label = "planted_first";
+      first.stream = static_cast<StreamKind>(c.seed % 3);
+      first.devices = {0};
+      first.fn = [] {};
+      first.reads.push_back(access_floats(&shared_slot, 0, 1));
+      if (kind == 1) first.writes.push_back(access_floats(&shared_slot, 0, 1));
+      const int first_id = planted.add(std::move(first));
+      Op second;
+      second.label = "planted_second";
+      second.stream = static_cast<StreamKind>((c.seed + 1) % 3);
+      second.devices = {std::max(c.devices, 2) - 1};
+      second.fn = [] {};
+      if (kind == 2) {
+        second.reads.push_back(access_floats(&shared_slot, 0, 1));
+      } else {
+        second.writes.push_back(access_floats(&shared_slot, 0, 1));
+      }
+      const int second_id = planted.add(std::move(second));
+      expect_same(planted, name + " planted kind " + std::to_string(kind));
+      planted.op(second_id).deps.push_back(first_id);
+      expect_same(planted,
+                  name + " planted kind " + std::to_string(kind) + " ordered");
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -10,16 +10,20 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/moe_layer.h"
+#include "hazard_reference.h"
 #include "sim/cluster.h"
 #include "sim/graph_executor.h"
+#include "step_graphs.h"
 
 namespace mpipe::sim {
 namespace {
@@ -466,6 +470,195 @@ TEST(GraphExecutor, ProbePathsStayThreadAndAllocationQuiet) {
   EXPECT_EQ(before, after)
       << "probe/timing path enqueued work on the shared pool";
   EXPECT_GT(layer.searcher().stats().trials, 0u);
+}
+
+// ---- sorted-sweep validator against the pairwise reference ----------------
+
+/// Appends an op on (device, stream) with the given deps and declarations.
+/// `functional` ops get a no-op closure; the validator never runs it.
+int add_declared(OpGraph& g, const std::string& label, int device,
+                 StreamKind stream, std::vector<int> deps,
+                 std::vector<BufferAccess> reads,
+                 std::vector<BufferAccess> writes, bool functional = true) {
+  Op op;
+  op.label = label;
+  op.stream = stream;
+  op.devices = {device};
+  op.deps = std::move(deps);
+  if (functional) op.fn = [] {};
+  op.reads = std::move(reads);
+  op.writes = std::move(writes);
+  return g.add(std::move(op));
+}
+
+TEST(GraphExecutor, EmptyRangeOverlapsNothing) {
+  // An empty range touches no byte, so it cannot conflict — even when it
+  // sits strictly inside another op's write.
+  float buf[8] = {};
+  EXPECT_FALSE(access_floats(buf, 4, 0).overlaps(access_floats(buf, 2, 4)));
+  EXPECT_FALSE(access_floats(buf, 2, 4).overlaps(access_floats(buf, 4, 0)));
+  EXPECT_FALSE(access_floats(buf, 4, 0).overlaps(access_floats(buf, 4, 0)));
+  EXPECT_TRUE(access_floats(buf, 2, 4).overlaps(access_floats(buf, 5, 1)));
+
+  OpGraph g;
+  add_declared(g, "wide", 0, StreamKind::kCompute, {}, {},
+               {access_floats(buf, 2, 4)});
+  add_declared(g, "empty", 1, StreamKind::kCompute, {}, {},
+               {access_floats(buf, 4, 0)});
+  EXPECT_NO_THROW(validate_hazards(g));
+  EXPECT_FALSE(reference::verdicts(g).reference);
+}
+
+TEST(GraphExecutor, SweepVerdictMatchesReferenceOnEdgeCases) {
+  static float x[64];
+  static float y[64];
+  const StreamKind kC = StreamKind::kCompute;
+  const StreamKind kM = StreamKind::kMem;
+  struct Case {
+    std::string name;
+    bool rejected;
+    OpGraph graph;
+  };
+  std::vector<Case> cases;
+  auto pair_case = [&](const std::string& name, bool rejected,
+                       std::vector<BufferAccess> reads_a,
+                       std::vector<BufferAccess> writes_a,
+                       std::vector<BufferAccess> reads_b,
+                       std::vector<BufferAccess> writes_b) {
+    OpGraph g;
+    add_declared(g, name + ".a", 0, kC, {}, std::move(reads_a),
+                 std::move(writes_a));
+    add_declared(g, name + ".b", 1, kC, {}, std::move(reads_b),
+                 std::move(writes_b));
+    cases.push_back({name, rejected, std::move(g)});
+  };
+  pair_case("empty_at_begin", false, {}, {access_floats(x, 2, 4)}, {},
+            {access_floats(x, 2, 0)});
+  pair_case("empty_at_end", false, {}, {access_floats(x, 2, 4)}, {},
+            {access_floats(x, 6, 0)});
+  pair_case("adjacent_writes", false, {}, {access_floats(x, 0, 4)}, {},
+            {access_floats(x, 4, 4)});
+  pair_case("one_float_raw", true, {}, {access_floats(x, 0, 5)},
+            {access_floats(x, 4, 4)}, {});
+  pair_case("nested_war", true, {access_floats(x, 0, 64)}, {}, {},
+            {access_floats(x, 10, 1)});
+  pair_case("same_begin_reads", false, {access_floats(x, 3, 9)}, {},
+            {access_floats(x, 3, 2)}, {});
+  pair_case("token_vs_range", true, {}, {access_token(x)},
+            {access_floats(x, 40, 1)}, {});
+  pair_case("different_buffers", false, {}, {access_floats(x, 0, 64)}, {},
+            {access_floats(y, 0, 64)});
+  pair_case("one_of_many_ranges", true, {},
+            {access_floats(x, 0, 1), access_floats(x, 8, 1),
+             access_floats(x, 16, 1), access_floats(y, 0, 8)},
+            {access_floats(x, 9, 1), access_floats(x, 17, 1)},
+            {access_floats(y, 7, 1)});
+  pair_case("read_modify_write_disjoint", false, {access_floats(x, 0, 8)},
+            {access_floats(x, 0, 8)}, {access_floats(x, 8, 8)},
+            {access_floats(x, 8, 8)});
+  pair_case("unsorted_many_reads", true,
+            {access_floats(x, 50, 2), access_floats(x, 1, 2),
+             access_floats(x, 30, 2)},
+            {}, {}, {access_floats(x, 31, 4)});
+  {
+    OpGraph g;  // a declared op next to an undeclared closure
+    add_declared(g, "declared", 0, kC, {}, {access_floats(x, 0, 1)}, {});
+    add_declared(g, "undeclared", 1, kM, {}, {}, {});
+    cases.push_back({"undeclared_unordered", true, std::move(g)});
+  }
+  {
+    OpGraph g;  // an undeclared closure every other closure is ordered to
+    const int a = add_declared(g, "a", 0, kC, {}, {}, {access_token(x)});
+    const int u = add_declared(g, "undeclared", 1, kM, {a}, {}, {});
+    add_declared(g, "c", 2, kC, {u}, {}, {access_token(x)});
+    cases.push_back({"undeclared_ordered", false, std::move(g)});
+  }
+  {
+    OpGraph g;  // ordered only by the stream FIFO edge
+    add_declared(g, "a", 0, kC, {}, {}, {access_token(x)});
+    add_declared(g, "undeclared", 0, kC, {}, {}, {});
+    cases.push_back({"undeclared_fifo_ordered", false, std::move(g)});
+  }
+  {
+    OpGraph g;  // a lone closure next to timing-only ops
+    add_declared(g, "lone", 0, kC, {}, {}, {});
+    add_declared(g, "timed1", 1, kC, {}, {}, {access_token(x)}, false);
+    add_declared(g, "timed2", 2, kC, {}, {}, {access_token(x)}, false);
+    cases.push_back({"lone_closure", false, std::move(g)});
+  }
+  {
+    OpGraph g;  // conflicting writers ordered only transitively
+    const int a = add_declared(g, "a", 0, kC, {}, {}, {access_floats(x, 0, 8)});
+    const int b = add_declared(g, "b", 1, kM, {a}, {access_floats(y, 0, 1)},
+                               {});
+    add_declared(g, "c", 2, kC, {b}, {}, {access_floats(x, 4, 8)});
+    cases.push_back({"transitive_order", false, std::move(g)});
+  }
+  {
+    OpGraph g;  // the same graph without the middle edge
+    add_declared(g, "a", 0, kC, {}, {}, {access_floats(x, 0, 8)});
+    add_declared(g, "b", 1, kM, {0}, {access_floats(y, 0, 1)}, {});
+    add_declared(g, "c", 2, kC, {}, {}, {access_floats(x, 4, 8)});
+    cases.push_back({"transitive_broken", true, std::move(g)});
+  }
+  for (const Case& c : cases) {
+    const reference::Verdicts v = reference::verdicts(c.graph);
+    EXPECT_EQ(v.reference, c.rejected) << c.name;
+    EXPECT_EQ(v.sweep, v.reference) << c.name;
+  }
+}
+
+TEST(GraphExecutor, SweepVerdictMatchesReferenceOnMoELayerGraphs) {
+  // The real schedules: forward and backward graphs of S1-S4 at n = 1, 2,
+  // 4, 8, each intact (accepted) and with one WAR edge removed at a time.
+  // A WAR edge here is an explicit dep u -> v where u reads memory v
+  // writes; removing it may or may not leave the pair unordered, and the
+  // sweep must agree with the reference either way.
+  int removals = 0;
+  int rejected = 0;
+  for (core::ReuseStrategy strategy :
+       {core::ReuseStrategy::kS1, core::ReuseStrategy::kS2,
+        core::ReuseStrategy::kS3, core::ReuseStrategy::kS4}) {
+    for (int n : {1, 2, 4, 8}) {
+      Cluster cluster = Cluster::dgx_a100_pod(1, 4);
+      core::MoELayer layer(cluster, core::small_layer_options(n, strategy));
+      std::vector<Tensor> inputs, dys;
+      core::random_step_inputs(4, 64, 16, 91, inputs, dys);
+      const auto graphs = core::MoELayerTestAccess::build(layer, inputs, dys);
+      for (const OpGraph* graph : {&graphs.forward, &graphs.backward}) {
+        const std::string name = core::to_string(strategy) + " n" +
+                                 std::to_string(n) +
+                                 (graph == &graphs.forward ? " fwd" : " bwd");
+        const reference::Verdicts intact = reference::verdicts(*graph);
+        EXPECT_FALSE(intact.reference) << name;
+        EXPECT_FALSE(intact.sweep) << name;
+
+        std::vector<std::pair<int, int>> war_edges;  // (u, v)
+        for (const Op& v : graph->ops()) {
+          if (!v.fn) continue;
+          for (int u : v.deps) {
+            const Op& from = graph->op(u);
+            if (from.fn && reference::any_overlap(from.reads, v.writes)) {
+              war_edges.emplace_back(u, v.id);
+            }
+          }
+        }
+        for (const auto& [u, v] : war_edges) {
+          OpGraph broken = *graph;
+          auto& deps = broken.op(v).deps;
+          deps.erase(std::remove(deps.begin(), deps.end(), u), deps.end());
+          const reference::Verdicts verdict = reference::verdicts(broken);
+          EXPECT_EQ(verdict.sweep, verdict.reference)
+              << name << " without " << graph->op(u).label << " -> "
+              << graph->op(v).label;
+          ++removals;
+          if (verdict.reference) ++rejected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(removals, 0);
+  EXPECT_GT(rejected, 0) << "no removed WAR edge left a hazard";
 }
 
 }  // namespace

@@ -17,7 +17,12 @@
 #include "mem/device_allocator.h"
 #include "mem/host_staging.h"
 #include "runtime/trainer.h"
+#include "step_graphs.h"
+#include "tensor/quant.h"
 #include "tensor/random_init.h"
+
+#include <cstring>
+#include <map>
 
 namespace mpipe {
 namespace {
@@ -313,6 +318,196 @@ TEST(HostStaging, CollisionThrowsUnlessOverwriteAllowed) {
   EXPECT_EQ(staging.entries(), 3u);
   staging.clear();
   EXPECT_EQ(staging.entries(), 0u);
+}
+
+TEST(HostStaging, TakeHandsOverTheEntryWithoutCopying) {
+  for (DType dtype : {DType::kF32, DType::kBF16, DType::kI8}) {
+    mem::HostStaging staging;
+    Rng rng(5);
+    Tensor buf(Shape{8, 6});
+    init_normal(buf, rng, 1.0f);
+    // The offload path stores from a row view: only its rows are copied.
+    staging.store(0, "tdi:p0", buf.row_view(2, 7), false, dtype);
+    staging.store(1, "tm:p0", buf, false, dtype);
+    const std::uint64_t whole = quantized_bytes(8, 6, dtype);
+    EXPECT_EQ(staging.bytes_stored(), quantized_bytes(5, 6, dtype) + whole);
+    const Tensor loaded = staging.load(0, "tdi:p0");
+
+    const Tensor taken = staging.take(0, "tdi:p0");
+    ASSERT_EQ(taken.shape(), (Shape{5, 6}));
+    EXPECT_EQ(std::memcmp(taken.data(), loaded.data(),
+                          static_cast<std::size_t>(taken.nbytes())),
+              0)
+        << to_string(dtype);
+    Tensor expected = buf.slice_rows(2, 7);
+    round_through_dtype(expected.data(), 5, 6, dtype);
+    EXPECT_EQ(std::memcmp(taken.data(), expected.data(),
+                          static_cast<std::size_t>(taken.nbytes())),
+              0)
+        << to_string(dtype);
+    EXPECT_EQ(staging.bytes_stored(), whole);
+    EXPECT_EQ(staging.entries(), 1u);
+    EXPECT_FALSE(staging.contains(0, "tdi:p0"));
+    EXPECT_THROW(staging.take(0, "tdi:p0"), CheckError);
+    EXPECT_THROW(staging.load(0, "tdi:p0"), CheckError);
+
+    // The collision rule of store is unchanged: a taken key is free again,
+    // a live one is not.
+    staging.store(0, "tdi:p0", buf, false, dtype);
+    EXPECT_THROW(staging.store(0, "tdi:p0", buf, false, dtype), CheckError);
+    EXPECT_THROW(staging.store(1, "tm:p0", buf, false, dtype), CheckError);
+    EXPECT_EQ(staging.bytes_stored(), 2 * whole);
+  }
+}
+
+// ---- segment access declarations --------------------------------------------
+
+/// Per buffer, how many declared or copied ranges cover each byte.
+using ByteCounts = std::map<const void*, std::vector<int>>;
+
+void count_bytes(ByteCounts& counts, const sim::BufferAccess& a,
+                 std::int64_t buffer_bytes) {
+  auto& bytes = counts[a.id];
+  bytes.resize(static_cast<std::size_t>(buffer_bytes), 0);
+  const std::int64_t end = std::min(a.end, buffer_bytes);
+  for (std::int64_t b = a.begin; b < end; ++b) {
+    ++bytes[static_cast<std::size_t>(b)];
+  }
+}
+
+TEST(CommSegments, DeclarationsCoverEveryTouchedByteAndAreExactWhenDisjoint) {
+  // Random segment tables over four source and four destination buffers:
+  // per-token, contiguous blocks, gapped blocks, and blocks whose source
+  // rows overlap (one row sent twice). The declared reads/writes must
+  // cover every byte the copy touches, name no other buffer, and equal the
+  // touched union on every buffer whose ranges are pairwise disjoint.
+  constexpr int kBuffers = 4;
+  constexpr std::int64_t kRows = 24;
+  constexpr std::int64_t kCols = 3;
+  const std::int64_t buffer_bytes = kRows * kCols * 4;
+  std::vector<Tensor> src, dst;
+  for (int d = 0; d < kBuffers; ++d) {
+    src.emplace_back(Shape{kRows, kCols});
+    dst.emplace_back(Shape{kRows, kCols});
+  }
+  Rng rng(11);
+  int exact_buffers = 0;
+  int superset_buffers = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int mode = trial % 4;  // 0 per-token, 1 block, 2 gapped, 3 overlap
+    std::vector<comm::RowSegment> segs;
+    std::vector<std::int64_t> src_cursor(kBuffers, 0);
+    for (int d = 0; d < kBuffers; ++d) {
+      std::vector<std::int64_t> rows(static_cast<std::size_t>(kRows));
+      for (std::int64_t r = 0; r < kRows; ++r) {
+        rows[static_cast<std::size_t>(r)] = r;
+      }
+      if (mode == 0) {
+        // One row per segment, destination rows in random order.
+        for (std::int64_t r = kRows - 1; r > 0; --r) {
+          std::swap(rows[static_cast<std::size_t>(r)],
+                    rows[rng.uniform_index(static_cast<std::uint64_t>(r + 1))]);
+        }
+        const std::int64_t used = static_cast<std::int64_t>(
+            rng.uniform_index(static_cast<std::uint64_t>(kRows + 1)));
+        for (std::int64_t i = 0; i < used; ++i) {
+          const int s = static_cast<int>(rng.uniform_index(kBuffers));
+          if (src_cursor[static_cast<std::size_t>(s)] >= kRows) continue;
+          segs.push_back({s, &src[static_cast<std::size_t>(s)],
+                          src_cursor[static_cast<std::size_t>(s)]++, d,
+                          &dst[static_cast<std::size_t>(d)],
+                          rows[static_cast<std::size_t>(i)], 1});
+        }
+        continue;
+      }
+      std::int64_t row = 0;
+      while (row < kRows) {
+        const std::int64_t len = std::min<std::int64_t>(
+            kRows - row,
+            static_cast<std::int64_t>(rng.uniform_index(6)));  // 0 = empty
+        const int s = static_cast<int>(rng.uniform_index(kBuffers));
+        std::int64_t& cursor = src_cursor[static_cast<std::size_t>(s)];
+        if (mode == 3) cursor = std::max<std::int64_t>(0, cursor - 1);
+        const bool skip = mode == 2 && rng.uniform() < 0.3;
+        if (!skip && cursor + len <= kRows) {
+          segs.push_back({s, &src[static_cast<std::size_t>(s)], cursor, d,
+                          &dst[static_cast<std::size_t>(d)], row, len});
+          cursor += len;
+        }
+        if (mode == 2 && rng.uniform() < 0.3) ++cursor;
+        row += std::max<std::int64_t>(len, 1);
+      }
+    }
+    for (std::size_t i = segs.size(); i > 1; --i) {  // any table order
+      std::swap(segs[i - 1], segs[rng.uniform_index(i)]);
+    }
+
+    sim::Op op;
+    comm::declare_segment_accesses(op, segs);
+    ByteCounts touched_reads, touched_writes, declared_reads, declared_writes;
+    for (const comm::RowSegment& seg : segs) {
+      if (seg.rows == 0) continue;
+      count_bytes(touched_reads,
+                  sim::access_rows(*seg.src, seg.src_row, seg.rows),
+                  buffer_bytes);
+      count_bytes(touched_writes,
+                  sim::access_rows(*seg.dst, seg.dst_row, seg.rows),
+                  buffer_bytes);
+    }
+    for (const auto& a : op.reads) count_bytes(declared_reads, a, buffer_bytes);
+    for (const auto& a : op.writes) {
+      count_bytes(declared_writes, a, buffer_bytes);
+    }
+    for (auto [touched, declared] :
+         {std::pair{&touched_reads, &declared_reads},
+          std::pair{&touched_writes, &declared_writes}}) {
+      ASSERT_EQ(touched->size(), declared->size()) << "trial " << trial;
+      for (const auto& [id, bytes] : *touched) {
+        ASSERT_TRUE(declared->count(id)) << "trial " << trial;
+        const std::vector<int>& decl = declared->at(id);
+        bool disjoint = true;
+        for (std::size_t b = 0; b < bytes.size(); ++b) {
+          ASSERT_TRUE(bytes[b] == 0 || decl[b] > 0)
+              << "trial " << trial << " byte " << b << " touched, undeclared";
+          disjoint = disjoint && bytes[b] <= 1;
+        }
+        if (!disjoint) {
+          ++superset_buffers;
+          continue;
+        }
+        ++exact_buffers;
+        for (std::size_t b = 0; b < bytes.size(); ++b) {
+          ASSERT_EQ(bytes[b] > 0, decl[b] > 0)
+              << "trial " << trial << " byte " << b << " declared, untouched";
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_buffers, 0);
+  EXPECT_GT(superset_buffers, 0);
+}
+
+TEST(CommSegments, MoELayerAllToAllsDeclareAtMostTwoRangesPerDevice) {
+  // S1, n = 8: dispatch and combine move one segment per token, but each
+  // AllToAll touches one contiguous run per buffer, so it declares one
+  // read and one write range per participating device.
+  constexpr int kDevices = 4;
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, kDevices);
+  core::MoELayer layer(
+      cluster, core::small_layer_options(8, core::ReuseStrategy::kS1));
+  std::vector<Tensor> inputs, dys;
+  core::random_step_inputs(kDevices, 256, 16, 3, inputs, dys);
+  const auto graphs = core::MoELayerTestAccess::build(layer, inputs, dys);
+  int alltoalls = 0;
+  for (const sim::OpGraph* graph : {&graphs.forward, &graphs.backward}) {
+    for (const sim::Op& op : graph->ops()) {
+      if (op.category != sim::OpCategory::kAllToAll || !op.fn) continue;
+      ++alltoalls;
+      EXPECT_LE(op.reads.size() + op.writes.size(), 2u * kDevices)
+          << op.label;
+    }
+  }
+  EXPECT_EQ(alltoalls, 2 * 8 * 2);  // S and R forward, S' and R' backward
 }
 
 // ---- collectives -----------------------------------------------------------

@@ -24,34 +24,6 @@
 namespace mpipe {
 namespace {
 
-struct BuiltStep {
-  sim::OpGraph forward;
-  sim::OpGraph backward;
-  sim::TimingResult fwd_timing;
-  sim::TimingResult bwd_timing;
-};
-
-/// Builds fwd+bwd timing-only graphs for a paper-scale configuration.
-BuiltStep build_step(sim::Cluster& cluster, int n,
-                     core::ReuseStrategy strategy, std::int64_t tokens) {
-  core::MoELayerOptions o;
-  o.d_model = 1024;
-  o.d_hidden = 4096;
-  o.num_experts = 64;
-  o.num_partitions = n;
-  o.memory_reuse = strategy != core::ReuseStrategy::kNone;
-  if (o.memory_reuse) o.strategy = strategy;
-  o.mode = core::ExecutionMode::kTimingOnly;
-  core::MoELayer layer(cluster, o);
-  // step_timing runs both graphs; rebuild them here for inspection via the
-  // same public path.
-  auto report = layer.step_timing(tokens);
-  BuiltStep out;
-  out.fwd_timing = report.forward_timing;
-  out.bwd_timing = report.backward_timing;
-  return out;
-}
-
 struct ScheduleCase {
   int n;
   core::ReuseStrategy strategy;
